@@ -6,7 +6,7 @@
 use crate::crawler::{CpuCostModel, FetchFailure, LastError, RetryPolicy};
 use crate::hotnode::HotNodeCache;
 use ajax_dom::hash::FnvHashMap;
-use ajax_dom::{parse_document, Document, NodeId};
+use ajax_dom::{parse_document, Document, NodeId, NormalizedView};
 use ajax_js::{
     DebugHook, GlobalsSnapshot, Host, HostCtx, Interpreter, JsError, NoopHook, ObjId, Value,
 };
@@ -15,6 +15,8 @@ use ajax_net::sched::Segment;
 use ajax_net::{Micros, NetClient, Url};
 use ajax_obs::{AttrValue, Recorder};
 use std::collections::HashSet;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Everything an event invocation may touch besides the page itself:
 /// network, hot-node cache, cost model, retry policy, the CPU/network
@@ -473,11 +475,13 @@ impl Host for PageHost<'_, '_> {
     }
 }
 
-/// A snapshot of the browser: DOM + JS globals. Cloned per discovered state
-/// and restored before each event — the rollback of Alg. 3.1.1, line 17.
+/// A snapshot of the browser: DOM + JS globals, plus the normalized view
+/// the state was hashed from. Cloned per discovered state and restored
+/// before each event — the rollback of Alg. 3.1.1, line 17.
 #[derive(Clone)]
 pub struct BrowserSnapshot {
     doc: Document,
+    view: Rc<NormalizedView>,
     globals: GlobalsSnapshot,
 }
 
@@ -486,6 +490,11 @@ impl BrowserSnapshot {
     pub fn doc(&self) -> &Document {
         &self.doc
     }
+
+    /// The normalized view of [`Self::doc`].
+    pub fn view(&self) -> &NormalizedView {
+        &self.view
+    }
 }
 
 /// The loaded page: document + interpreter.
@@ -493,6 +502,10 @@ pub struct Browser {
     url: Url,
     doc: Document,
     interp: Interpreter,
+    /// The normalized view of `doc`, while it is known to be current:
+    /// set by [`Self::state_hash`] and [`Self::restore`], dropped by
+    /// whatever may mutate the page (running JS, [`Self::doc_mut`]).
+    view: Option<Rc<NormalizedView>>,
 }
 
 impl Browser {
@@ -524,6 +537,7 @@ impl Browser {
             url,
             doc,
             interp: Interpreter::with_fuel(js_fuel),
+            view: None,
         };
         let mut errors = Vec::new();
         let mut outcome = EventOutcome::default();
@@ -554,6 +568,7 @@ impl Browser {
 
     /// Mutable DOM access (tests and replay tooling).
     pub fn doc_mut(&mut self) -> &mut Document {
+        self.view = None;
         &mut self.doc
     }
 
@@ -578,6 +593,7 @@ impl Browser {
         outcome: &mut EventOutcome,
         kind: RunKind,
     ) -> Result<(), JsError> {
+        self.view = None;
         let steps_before = self.interp.steps();
         // The on-enter hot-node detector (§4.4.2): instrumentation that
         // recognizes frames whose function is a known hot node.
@@ -596,25 +612,57 @@ impl Browser {
         result
     }
 
-    /// Snapshots the browser (DOM + JS globals) for later rollback.
-    pub fn snapshot(&self) -> BrowserSnapshot {
+    /// Snapshots the browser (DOM + JS globals) for later rollback. The
+    /// snapshot keeps the view [`Self::state_hash`] built, so diffing
+    /// against it later serializes nothing.
+    pub fn snapshot(&mut self) -> BrowserSnapshot {
+        // Index the live page first: the snapshot, its restores and the
+        // page itself (whose first restore keeps its DOM) then share one.
+        self.doc.ensure_id_index();
         BrowserSnapshot {
             doc: self.doc.clone(),
+            view: self.view(),
             globals: self.interp.snapshot_globals(),
         }
     }
 
     /// Restores a snapshot taken earlier on this page.
     pub fn restore(&mut self, snapshot: &BrowserSnapshot) {
-        self.doc = snapshot.doc.clone();
+        // Holding the snapshot's own view means nothing ran since this
+        // snapshot was taken or last restored: the DOM already equals it.
+        // The globals are copied back regardless — a snapshot holds each
+        // global as its own deep copy, so restoring also unshares objects
+        // that two globals of the live page still alias.
+        let dom_intact = self
+            .view
+            .as_ref()
+            .is_some_and(|view| Rc::ptr_eq(view, &snapshot.view));
+        if !dom_intact {
+            self.doc = snapshot.doc.clone();
+            self.view = Some(Rc::clone(&snapshot.view));
+        }
         self.interp.restore_globals(&snapshot.globals);
     }
 
-    /// Content hash of the current DOM (duplicate-state identity).
-    pub fn state_hash(&self, env: &mut CrawlEnv<'_>) -> u64 {
-        let normalized = self.doc.normalized();
-        env.charge_cpu(env.costs.hash_cost(normalized.len()));
-        ajax_dom::fnv64_str(&normalized)
+    /// Content hash of the current DOM (duplicate-state identity). The one
+    /// normalization of a fired event: [`Self::view`] and a following
+    /// [`Self::snapshot`] reuse what is built here.
+    pub fn state_hash(&mut self, env: &mut CrawlEnv<'_>) -> u64 {
+        let view = self.view();
+        env.charge_cpu(env.costs.hash_cost(view.text().len()));
+        let hash = view.hash();
+        self.view = Some(view);
+        hash
+    }
+
+    /// The normalized view of the current DOM, as left by
+    /// [`Self::state_hash`] or [`Self::restore`] when the page has not run
+    /// anything since, built now otherwise.
+    pub fn view(&self) -> Rc<NormalizedView> {
+        match &self.view {
+            Some(view) => Rc::clone(view),
+            None => Rc::new(self.doc.normalized_view()),
+        }
     }
 }
 
@@ -627,18 +675,17 @@ enum RunKind {
 /// function already identified as a hot node (the early-detection path of
 /// §4.4.2). Purely observational — interception happens at `send()`.
 pub struct HotEnterDetector {
-    hot_functions: HashSet<String>,
+    hot_functions: Arc<HashSet<String>>,
     /// Number of entries into known hot nodes observed.
     pub detections: u32,
 }
 
 impl HotEnterDetector {
-    /// Builds a detector from the cache's current hot-function registry.
+    /// Builds a detector over the cache's hot-function registry as it
+    /// stands now (functions that turn hot during the run are not seen).
     pub fn from_cache(cache: &HotNodeCache) -> Self {
-        // Snapshot the function names (the registry is tiny: YouTube has 1).
-        let hot_functions = cache.hot_function_names().map(str::to_string).collect();
         Self {
-            hot_functions,
+            hot_functions: Arc::clone(cache.hot_functions()),
             detections: 0,
         }
     }

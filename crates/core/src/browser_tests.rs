@@ -137,6 +137,76 @@ fn snapshot_restore_roundtrip_dom_and_globals() {
 }
 
 #[test]
+fn one_view_serves_hash_snapshot_and_restore() {
+    with_env(|env| {
+        let mut browser = load(
+            "<html><head><script>var n = 0;\
+             function fill(t) { n = n + 1; document.getElementById('box').innerHTML = t; }\
+             function quiet() { return 1; }\
+             </script></head><body><div id=\"box\">one</div></body></html>",
+            env,
+        );
+        let hash = browser.state_hash(env);
+        let hashed = browser.view();
+        assert_eq!(hashed.hash(), hash);
+        // The snapshot keeps the view the state was hashed from.
+        let snapshot = browser.snapshot();
+        assert!(std::ptr::eq(snapshot.view(), &*hashed));
+        assert!(std::ptr::eq(snapshot.view(), &*browser.view()));
+
+        // Running anything drops the live view: it may be stale, whether or
+        // not the handler touched the page.
+        browser.fire_event("quiet()", env);
+        assert!(!std::ptr::eq(snapshot.view(), &*browser.view()));
+        assert_eq!(browser.state_hash(env), hash);
+
+        // Restore hands the snapshot's view back, so a restore with nothing
+        // run in between has nothing to undo — and a real one undoes both
+        // the DOM and the globals.
+        browser.fire_event("fill('two')", env);
+        assert_ne!(browser.state_hash(env), hash);
+        browser.restore(&snapshot);
+        assert!(std::ptr::eq(snapshot.view(), &*browser.view()));
+        browser.restore(&snapshot);
+        assert_eq!(
+            browser.doc().document_text(),
+            snapshot.doc().document_text()
+        );
+        assert_eq!(
+            browser.interp().global("n"),
+            Some(&ajax_js::Value::Num(0.0))
+        );
+        assert_eq!(browser.state_hash(env), hash);
+    });
+}
+
+#[test]
+fn every_restore_unshares_aliased_globals() {
+    // A snapshot holds each global as its own deep copy, so a restored page
+    // has `a` and `b` apart even though the loaded page aliases them. The
+    // restore right after the snapshot keeps the DOM but must still copy
+    // the globals back, or the first event of a state would run on aliased
+    // objects and every later one on separate ones.
+    with_env(|env| {
+        let mut browser = load(
+            "<html><head><script>var a = [0]; var b = a;\
+             function f() {\
+               a[0] = a[0] + 1;\
+               document.getElementById('box').innerHTML = '' + b[0];\
+             }</script></head><body><div id=\"box\">-</div></body></html>",
+            env,
+        );
+        browser.state_hash(env);
+        let snapshot = browser.snapshot();
+        for _ in 0..2 {
+            browser.restore(&snapshot);
+            browser.fire_event("f()", env);
+            assert_eq!(browser.doc().document_text().trim(), "0");
+        }
+    });
+}
+
+#[test]
 fn send_before_open_is_host_error() {
     with_env(|env| {
         let mut browser = load(

@@ -1109,9 +1109,12 @@ impl Crawler {
                     // Annotate the transition with its modified targets
                     // (Table 2.1) by diffing the source-state DOM against the
                     // current one.
+                    let source = &snapshots[state_id.index()];
                     let targets = ajax_dom::diff::changed_roots(
-                        snapshots[state_id.index()].doc(),
+                        source.doc(),
+                        source.view(),
                         browser.doc(),
+                        &browser.view(),
                     )
                     .into_iter()
                     .map(|t| t.element)

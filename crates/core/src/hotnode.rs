@@ -10,6 +10,7 @@
 use ajax_dom::hash::FnvHashMap;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// One cached hot call.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,8 +68,9 @@ impl HotNodeStats {
 pub struct HotNodeCache {
     entries: FnvHashMap<String, CachedCall>,
     /// Names of functions identified as hot nodes (they contained an AJAX
-    /// call) — the `hotNodes` set of Alg. 4.2.1, line 37.
-    hot_functions: HashSet<String>,
+    /// call) — the `hotNodes` set of Alg. 4.2.1, line 37. Shared with the
+    /// on-enter detector of every script run; it grows about once per page.
+    hot_functions: Arc<HashSet<String>>,
     stats: HotNodeStats,
 }
 
@@ -102,15 +104,17 @@ impl HotNodeCache {
         self.hot_functions.contains(function)
     }
 
-    /// Names of all functions identified as hot nodes.
-    pub fn hot_function_names(&self) -> impl Iterator<Item = &str> {
-        self.hot_functions.iter().map(String::as_str)
+    /// The set of functions identified as hot nodes so far.
+    pub fn hot_functions(&self) -> &Arc<HashSet<String>> {
+        &self.hot_functions
     }
 
     /// Records a fresh hot call result fetched from the network.
     /// `function` is the hot node, `key` the `(function, args)` rendering.
     pub fn insert(&mut self, function: &str, key: String, url: String, body: String) {
-        self.hot_functions.insert(function.to_string());
+        if !self.hot_functions.contains(function) {
+            Arc::make_mut(&mut self.hot_functions).insert(function.to_string());
+        }
         if self.stats.hot_functions.insert(function.to_string()) {
             self.stats.hot_nodes += 1;
         }
@@ -154,7 +158,7 @@ impl HotNodeCache {
     /// Clears entries but keeps statistics (fresh page, same accounting).
     pub fn clear_entries(&mut self) {
         self.entries.clear();
-        self.hot_functions.clear();
+        self.hot_functions = Arc::default();
     }
 }
 

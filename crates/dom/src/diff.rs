@@ -16,8 +16,7 @@
 
 use crate::dom::{Document, NodeData, NodeId};
 use crate::events::describe_element;
-use crate::hash::fnv64_str;
-use crate::serialize;
+use crate::serialize::NormalizedView;
 
 /// A changed region, identified by its element path
 /// (`body > div#recent_comments`).
@@ -29,27 +28,54 @@ pub struct ChangedTarget {
     pub element: String,
 }
 
-/// Computes the modified targets between `old` and `new`.
-/// Returns an empty vector when the documents are content-identical.
-pub fn changed_roots(old: &Document, new: &Document) -> Vec<ChangedTarget> {
-    let mut out = Vec::new();
-    diff_children(old, old.root(), new, new.root(), &mut Vec::new(), &mut out);
-    out
+/// One side of a comparison. Private: it only keeps the recursion below at
+/// six arguments; callers pass the document and its view to
+/// [`changed_roots`], which checks the pairing once.
+#[derive(Clone, Copy)]
+struct Side<'a> {
+    doc: &'a Document,
+    view: &'a NormalizedView,
 }
 
-fn subtree_hash(doc: &Document, node: NodeId) -> u64 {
-    let mut sub = Document::new();
-    let root = sub.root();
-    graft(doc, node, &mut sub, root);
-    fnv64_str(&serialize::normalized_html(&sub))
-}
-
-fn graft(src: &Document, src_node: NodeId, dst: &mut Document, dst_parent: NodeId) {
-    let data = src.node(src_node).data.clone();
-    let new_id = dst.append(dst_parent, data);
-    for child in src.children(src_node) {
-        graft(src, child, dst, new_id);
+impl<'a> Side<'a> {
+    fn new(doc: &'a Document, view: &'a NormalizedView) -> Self {
+        assert!(
+            view.covers(doc),
+            "normalized view was not built from this document as it stands"
+        );
+        Self { doc, view }
     }
+}
+
+/// Computes the modified targets between `old` and `new`. Two aligned
+/// subtrees count as changed exactly when their normalized bytes differ.
+/// Alignment is by node, so a comment or a split text node that leaves the
+/// content equal still makes its parent a target.
+///
+/// Each view must be the [`Document::normalized_view`] of the document it
+/// is passed with, taken after that document's last mutation (the crawler
+/// holds both already: they are what the two states were hashed from).
+/// A view of a document with a different node count panics here; one of a
+/// same-sized other document cannot be told apart and compares the wrong
+/// bytes.
+pub fn changed_roots(
+    old: &Document,
+    old_view: &NormalizedView,
+    new: &Document,
+    new_view: &NormalizedView,
+) -> Vec<ChangedTarget> {
+    let old = Side::new(old, old_view);
+    let new = Side::new(new, new_view);
+    let mut out = Vec::new();
+    diff_children(
+        old,
+        old.doc.root(),
+        new,
+        new.doc.root(),
+        &mut Vec::new(),
+        &mut out,
+    );
+    out
 }
 
 fn push_target(path: &[String], out: &mut Vec<ChangedTarget>) {
@@ -68,85 +94,62 @@ fn push_target(path: &[String], out: &mut Vec<ChangedTarget>) {
 
 /// Compares the children of two matched nodes; `path` describes `new_node`.
 fn diff_children(
-    old: &Document,
+    old: Side<'_>,
     old_node: NodeId,
-    new: &Document,
+    new: Side<'_>,
     new_node: NodeId,
     path: &mut Vec<String>,
     out: &mut Vec<ChangedTarget>,
 ) {
-    let old_children: Vec<NodeId> = old.children(old_node).collect();
-    let new_children: Vec<NodeId> = new.children(new_node).collect();
-
-    let aligned = old_children.len() == new_children.len()
-        && old_children
-            .iter()
-            .zip(new_children.iter())
-            .all(|(&a, &b)| same_kind(old, a, new, b));
+    let child_count = new.doc.children(new_node).count();
+    let aligned = old.doc.children(old_node).count() == child_count
+        && old
+            .doc
+            .children(old_node)
+            .zip(new.doc.children(new_node))
+            .all(|(a, b)| same_kind(old.doc, a, new.doc, b));
     if !aligned {
         push_target(path, out);
         return;
     }
 
-    // Which aligned children changed?
-    #[derive(Clone, Copy)]
-    enum Change {
-        Element { attrs_equal: bool },
-        Text,
-    }
-    let mut changed: Vec<(usize, Change)> = Vec::new();
-    for (i, (&a, &b)) in old_children.iter().zip(new_children.iter()).enumerate() {
-        match (&old.node(a).data, &new.node(b).data) {
-            (NodeData::Element { .. }, NodeData::Element { .. })
-                if subtree_hash(old, a) != subtree_hash(new, b) =>
-            {
-                changed.push((
-                    i,
-                    Change::Element {
-                        attrs_equal: attributes_equal(old, a, new, b),
-                    },
-                ));
-            }
-            (NodeData::Text(t1), NodeData::Text(t2)) if collapse(t1) != collapse(t2) => {
-                changed.push((i, Change::Text));
-            }
-            _ => {}
-        }
-    }
-
+    // Which aligned children changed? Comments and scripts normalize to
+    // nothing on both sides, so they never do.
+    let changed: Vec<(NodeId, NodeId)> = old
+        .doc
+        .children(old_node)
+        .zip(new.doc.children(new_node))
+        .filter(|&(a, b)| old.view.subtree(a) != new.view.subtree(b))
+        .collect();
     if changed.is_empty() {
         return;
     }
     // Every child changed at once: the innerHTML-refill pattern — this node
     // is the single target (e.g. the comment box, not its 20 paragraphs).
-    if changed.len() > 1 && changed.len() == new_children.len() {
+    if changed.len() > 1 && changed.len() == child_count {
         push_target(path, out);
         return;
     }
     // Otherwise the changed children are independent regions: handle each.
-    for (i, change) in &changed {
-        match change {
-            Change::Element { attrs_equal: true } => {
-                let a = old_children[*i];
-                let b = new_children[*i];
-                path.push(describe_element(new, b));
-                diff_children(old, a, new, b, path, out);
-                path.pop();
-            }
-            Change::Element { attrs_equal: false } => {
-                let b = new_children[*i];
-                path.push(describe_element(new, b));
-                push_target(path, out);
+    for (a, b) in changed {
+        match (&*old.doc.node(a).data, &*new.doc.node(b).data) {
+            (NodeData::Element { attrs: x, .. }, NodeData::Element { attrs: y, .. }) => {
+                path.push(describe_element(new.doc, b));
+                if attributes_equal(x, y) {
+                    diff_children(old, a, new, b, path, out);
+                } else {
+                    push_target(path, out);
+                }
                 path.pop();
             }
             // A changed bare text child targets this node.
-            Change::Text => push_target(path, out),
+            _ => push_target(path, out),
         }
     }
 }
 
 fn same_kind(old: &Document, a: NodeId, new: &Document, b: NodeId) -> bool {
-    match (&old.node(a).data, &new.node(b).data) {
+    match (&*old.node(a).data, &*new.node(b).data) {
         (NodeData::Element { name: n1, .. }, NodeData::Element { name: n2, .. }) => n1 == n2,
         (NodeData::Text(_), NodeData::Text(_)) => true,
         (NodeData::Comment(_), NodeData::Comment(_)) => true,
@@ -154,21 +157,16 @@ fn same_kind(old: &Document, a: NodeId, new: &Document, b: NodeId) -> bool {
     }
 }
 
-fn attributes_equal(old: &Document, a: NodeId, new: &Document, b: NodeId) -> bool {
-    match (&old.node(a).data, &new.node(b).data) {
-        (NodeData::Element { attrs: x, .. }, NodeData::Element { attrs: y, .. }) => {
-            let mut x: Vec<_> = x.clone();
-            let mut y: Vec<_> = y.clone();
-            x.sort();
-            y.sort();
-            x == y
-        }
-        _ => false,
+/// Equal as multisets of `(name, value)` pairs: source order is not content.
+fn attributes_equal(x: &[(String, String)], y: &[(String, String)]) -> bool {
+    if x == y {
+        return true;
     }
-}
-
-fn collapse(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
+    let mut x: Vec<&(String, String)> = x.iter().collect();
+    let mut y: Vec<&(String, String)> = y.iter().collect();
+    x.sort();
+    y.sort();
+    x == y
 }
 
 #[cfg(test)]
@@ -176,13 +174,28 @@ mod tests {
     use super::*;
     use crate::parser::parse_document;
 
-    fn targets(old_html: &str, new_html: &str) -> Vec<String> {
+    fn roots(old_html: &str, new_html: &str) -> Vec<ChangedTarget> {
         let old = parse_document(old_html);
         let new = parse_document(new_html);
-        changed_roots(&old, &new)
+        changed_roots(&old, &old.normalized_view(), &new, &new.normalized_view())
+    }
+
+    fn targets(old_html: &str, new_html: &str) -> Vec<String> {
+        roots(old_html, new_html)
             .into_iter()
             .map(|t| t.element)
             .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "not built from this document")]
+    fn view_taken_before_a_refill_is_rejected() {
+        let old = parse_document("<div id=\"a\"><p>x</p></div>");
+        let mut new = old.clone();
+        let stale = new.normalized_view();
+        let a = new.get_element_by_id("a").unwrap();
+        new.set_inner_html(a, "<p>y</p><p>z</p>");
+        changed_roots(&old, &old.normalized_view(), &new, &stale);
     }
 
     #[test]
@@ -229,9 +242,7 @@ mod tests {
     fn two_independent_regions_both_reported_with_paths() {
         let old = "<div id=\"x\"><p>1</p><p>1b</p></div><div id=\"y\"><p>1</p><p>1b</p></div><div id=\"z\"><p>same</p></div>";
         let new = "<div id=\"x\"><p>2</p><p>2b</p></div><div id=\"y\"><p>2</p><p>2b</p></div><div id=\"z\"><p>same</p></div>";
-        let o = parse_document(old);
-        let n = parse_document(new);
-        let roots = changed_roots(&o, &n);
+        let roots = roots(old, new);
         let paths: Vec<&str> = roots.iter().map(|t| t.path.as_str()).collect();
         assert_eq!(paths, vec!["div#x", "div#y"]);
     }
@@ -241,6 +252,15 @@ mod tests {
         let old = "<div id=\"a\"><span class=\"off\">s</span></div>";
         let new = "<div id=\"a\"><span class=\"on\">s</span></div>";
         assert_eq!(targets(old, new), vec!["span.on"]);
+    }
+
+    #[test]
+    fn reordered_attributes_with_a_changed_child_descend() {
+        // Same attributes in another order are equal attributes: the target
+        // is the changed child, not the element carrying them.
+        let old = "<div id=\"a\" class=\"k\"><p>keep</p><p>old</p></div>";
+        let new = "<div class=\"k\" id=\"a\"><p>keep</p><p>new</p></div>";
+        assert_eq!(targets(old, new), vec!["p"]);
     }
 
     #[test]
@@ -256,9 +276,7 @@ mod tests {
             "<body><div id=\"outer\"><div id=\"inner\"><p>a</p><p>b old</p></div></div></body>";
         let new =
             "<body><div id=\"outer\"><div id=\"inner\"><p>a</p><p>b new</p></div></div></body>";
-        let o = parse_document(old);
-        let n = parse_document(new);
-        let roots = changed_roots(&o, &n);
+        let roots = roots(old, new);
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].path, "body > div#outer > div#inner > p");
         assert_eq!(roots[0].element, "p");

@@ -2,9 +2,10 @@
 //! operations the crawler and the JS host need (`innerHTML`, text content,
 //! attribute access, lookup by id).
 
-use crate::hash::{fnv64_str, FnvHashMap};
+use crate::hash::FnvHashMap;
 use crate::parser;
-use crate::serialize;
+use crate::serialize::{self, NormalizedView};
+use std::sync::Arc;
 
 /// Index of a node inside a [`Document`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,27 +35,48 @@ pub enum NodeData {
     Comment(String),
 }
 
-/// One node of the arena.
+/// One node of the arena. Children form a singly linked sibling chain, so
+/// a node owns no heap memory besides its (shared) payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
-    pub data: NodeData,
+    /// The payload, shared between a document and its clones; mutation goes
+    /// through `Arc::make_mut`, so a clone never sees it.
+    pub data: Arc<NodeData>,
     pub parent: Option<NodeId>,
-    pub children: Vec<NodeId>,
-    /// True for nodes detached by mutation; detached nodes are skipped by
-    /// traversals and compacted away by [`Document::compact`].
+    first_child: Option<NodeId>,
+    last_child: Option<NodeId>,
+    next_sibling: Option<NodeId>,
+    /// True for nodes detached by mutation; detached nodes are unreachable
+    /// from the root and compacted away by [`Document::compact`].
     pub detached: bool,
+}
+
+impl Node {
+    fn new(data: Arc<NodeData>, parent: Option<NodeId>) -> Self {
+        Self {
+            data,
+            parent,
+            first_child: None,
+            last_child: None,
+            next_sibling: None,
+            detached: false,
+        }
+    }
 }
 
 /// A parsed HTML document: an arena of [`Node`]s under a synthetic root.
 ///
-/// Cloning a `Document` deep-copies the arena — this is exactly the snapshot
-/// operation the crawler's rollback (Alg. 3.1.1, line 17) relies on.
+/// Cloning a `Document` is the snapshot operation the crawler's rollback
+/// (Alg. 3.1.1, line 17) relies on. It copies the arena's links and shares
+/// every payload and the id index, so it costs one allocation however many
+/// strings the document holds; the clone is still a deep snapshot because
+/// every mutation copies what it touches first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     nodes: Vec<Node>,
     root: NodeId,
     /// Lazy index from `id` attribute to node, rebuilt after mutations.
-    id_index: FnvHashMap<String, NodeId>,
+    id_index: Arc<FnvHashMap<String, NodeId>>,
     id_index_dirty: bool,
 }
 
@@ -68,14 +90,9 @@ impl Document {
     /// Creates an empty document containing only the root node.
     pub fn new() -> Self {
         Self {
-            nodes: vec![Node {
-                data: NodeData::Root,
-                parent: None,
-                children: Vec::new(),
-                detached: false,
-            }],
+            nodes: vec![Node::new(Arc::new(NodeData::Root), None)],
             root: NodeId(0),
-            id_index: FnvHashMap::default(),
+            id_index: Arc::default(),
             id_index_dirty: true,
         }
     }
@@ -99,19 +116,21 @@ impl Document {
 
     /// True when the document has no content besides the root.
     pub fn is_empty(&self) -> bool {
-        self.nodes[self.root.index()].children.is_empty()
+        self.nodes[self.root.index()].first_child.is_none()
     }
 
     /// Appends a new node under `parent` and returns its id.
     pub fn append(&mut self, parent: NodeId, data: NodeData) -> NodeId {
+        self.append_shared(parent, Arc::new(data))
+    }
+
+    fn append_shared(&mut self, parent: NodeId, data: Arc<NodeData>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            data,
-            parent: Some(parent),
-            children: Vec::new(),
-            detached: false,
-        });
-        self.nodes[parent.index()].children.push(id);
+        self.nodes.push(Node::new(data, Some(parent)));
+        match self.nodes[parent.index()].last_child.replace(id) {
+            Some(last) => self.nodes[last.index()].next_sibling = Some(id),
+            None => self.nodes[parent.index()].first_child = Some(id),
+        }
         self.id_index_dirty = true;
         id
     }
@@ -139,24 +158,25 @@ impl Document {
 
     /// Detaches the whole subtree under `id` (the node itself stays).
     pub fn clear_children(&mut self, id: NodeId) {
-        let children = std::mem::take(&mut self.nodes[id.index()].children);
-        for child in children {
-            self.detach_recursive(child);
+        // Detached nodes keep their `parent` but lose every other link.
+        let mut pending = vec![id];
+        while let Some(node) = pending.pop() {
+            let node = &mut self.nodes[node.index()];
+            node.last_child = None;
+            let mut child = node.first_child.take();
+            while let Some(c) = child {
+                let c_node = &mut self.nodes[c.index()];
+                c_node.detached = true;
+                child = c_node.next_sibling.take();
+                pending.push(c);
+            }
         }
         self.id_index_dirty = true;
     }
 
-    fn detach_recursive(&mut self, id: NodeId) {
-        self.nodes[id.index()].detached = true;
-        let children = std::mem::take(&mut self.nodes[id.index()].children);
-        for child in children {
-            self.detach_recursive(child);
-        }
-    }
-
     /// Tag name of an element node, if `id` refers to one.
     pub fn tag_name(&self, id: NodeId) -> Option<&str> {
-        match &self.node(id).data {
+        match &*self.node(id).data {
             NodeData::Element { name, .. } => Some(name),
             _ => None,
         }
@@ -164,7 +184,7 @@ impl Document {
 
     /// Value of attribute `name` (lowercase) on element `id`.
     pub fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
-        match &self.node(id).data {
+        match &*self.node(id).data {
             NodeData::Element { attrs, .. } => attrs
                 .iter()
                 .find(|(n, _)| n == name)
@@ -175,7 +195,11 @@ impl Document {
 
     /// Sets (or adds) attribute `name` on element `id`.
     pub fn set_attr(&mut self, id: NodeId, name: &str, value: &str) {
-        if let NodeData::Element { attrs, .. } = &mut self.nodes[id.index()].data {
+        let data = &mut self.nodes[id.index()].data;
+        if !matches!(**data, NodeData::Element { .. }) {
+            return; // Nothing to set, so nothing to un-share.
+        }
+        if let NodeData::Element { attrs, .. } = Arc::make_mut(data) {
             let name = name.to_ascii_lowercase();
             if let Some(slot) = attrs.iter_mut().find(|(n, _)| *n == name) {
                 slot.1 = value.to_string();
@@ -200,24 +224,30 @@ impl Document {
     }
 
     fn rebuild_id_index(&mut self) {
-        self.id_index.clear();
-        let ids: Vec<(String, NodeId)> = self
-            .walk()
-            .filter_map(|id| self.attr(id, "id").map(|v| (v.to_string(), id)))
-            .collect();
-        for (key, id) in ids {
-            self.id_index.entry(key).or_insert(id);
+        // A fresh map, not `make_mut`: clones of this document may still
+        // share the old one.
+        let mut index = FnvHashMap::default();
+        for id in self.walk() {
+            if let Some(value) = self.attr(id, "id") {
+                index.entry(value.to_string()).or_insert(id);
+            }
         }
+        self.id_index = Arc::new(index);
         self.id_index_dirty = false;
+    }
+
+    /// Brings the id index up to date now, so that clones taken from here
+    /// on share it instead of each rebuilding their own on first lookup.
+    pub fn ensure_id_index(&mut self) {
+        if self.id_index_dirty {
+            self.rebuild_id_index();
+        }
     }
 
     /// Iterates over all live element node ids in document order.
     pub fn walk(&self) -> impl Iterator<Item = NodeId> + '_ {
-        DomWalker {
-            doc: self,
-            stack: vec![self.root],
-        }
-        .filter(|&id| matches!(self.node(id).data, NodeData::Element { .. }))
+        self.walk_all()
+            .filter(|&id| matches!(*self.node(id).data, NodeData::Element { .. }))
     }
 
     /// Iterates over *all* live node ids (elements, text, comments) in
@@ -225,20 +255,16 @@ impl Document {
     pub fn walk_all(&self) -> impl Iterator<Item = NodeId> + '_ {
         DomWalker {
             doc: self,
-            stack: vec![self.root],
+            next: self.node(self.root).first_child,
         }
-        .filter(move |&id| id != self.root)
     }
 
     /// Live children of `id` in order.
-    pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.node(id)
-            .children
-            .iter()
-            .copied()
-            .filter(|&c| !self.node(c).detached)
-            .collect::<Vec<_>>()
-            .into_iter()
+    pub fn children(&self, id: NodeId) -> Children<'_> {
+        Children {
+            doc: self,
+            next: self.node(id).first_child,
+        }
     }
 
     /// Concatenated text content of the subtree under `id`, with whitespace
@@ -254,7 +280,7 @@ impl Document {
         if node.detached {
             return;
         }
-        match &node.data {
+        match &*node.data {
             NodeData::Text(t) => {
                 if !out.is_empty() && !out.ends_with(char::is_whitespace) {
                     out.push(' ');
@@ -263,7 +289,7 @@ impl Document {
             }
             NodeData::Element { name, .. } if name == "script" || name == "style" => {}
             _ => {
-                for &child in &node.children {
+                for child in self.children(id) {
                     self.collect_text(child, out);
                 }
             }
@@ -284,16 +310,14 @@ impl Document {
     /// `innerHTML` setter — the core AJAX DOM mutation of the thesis).
     pub fn set_inner_html(&mut self, id: NodeId, html: &str) {
         self.clear_children(id);
-        let fragment = parser::parse_fragment(html);
-        self.graft(&fragment, fragment.root(), id);
-        self.id_index_dirty = true;
+        parser::parse_into(self, id, html);
     }
 
-    /// Copies the subtree under `src_id` of `src` as children of `dst_parent`.
+    /// Copies the subtree under `src_id` of `src` as children of
+    /// `dst_parent`, sharing the payloads.
     fn graft(&mut self, src: &Document, src_id: NodeId, dst_parent: NodeId) {
         for child in src.children(src_id) {
-            let data = src.node(child).data.clone();
-            let new_id = self.append(dst_parent, data);
+            let new_id = self.append_shared(dst_parent, Arc::clone(&src.node(child).data));
             self.graft(src, child, new_id);
         }
     }
@@ -309,10 +333,22 @@ impl Document {
         serialize::normalized_html(self)
     }
 
+    /// The normalized serialization together with the byte span of every
+    /// subtree in it — what the state hash and the transition diff read.
+    pub fn normalized_view(&self) -> NormalizedView {
+        NormalizedView::of(self)
+    }
+
     /// Stable content hash of the normalized document — the state identity of
     /// §3.2 ("two states with the same hash value are considered the same").
     pub fn content_hash(&self) -> u64 {
-        fnv64_str(&self.normalized())
+        self.normalized_view().hash()
+    }
+
+    /// Size of the arena, detached nodes included: every live `NodeId`
+    /// indexes below it.
+    pub(crate) fn arena_len(&self) -> usize {
+        self.nodes.len()
     }
 
     /// Returns the concatenated `<script>` bodies in document order. The
@@ -323,7 +359,7 @@ impl Document {
             if self.tag_name(id) == Some("script") {
                 let mut body = String::new();
                 for child in self.children(id) {
-                    if let NodeData::Text(t) = &self.node(child).data {
+                    if let NodeData::Text(t) = &*self.node(child).data {
                         body.push_str(t);
                     }
                 }
@@ -353,25 +389,43 @@ impl Document {
     }
 }
 
+/// Iterator over the children of one node ([`Document::children`]).
+pub struct Children<'a> {
+    doc: &'a Document,
+    next: Option<NodeId>,
+}
+
+impl Iterator for Children<'_> {
+    type Item = NodeId;
+    fn next(&mut self) -> Option<NodeId> {
+        let id = self.next?;
+        self.next = self.doc.node(id).next_sibling;
+        Some(id)
+    }
+}
+
+/// Pre-order walk below the root, following the links (no stack).
 struct DomWalker<'a> {
     doc: &'a Document,
-    stack: Vec<NodeId>,
+    next: Option<NodeId>,
 }
 
 impl Iterator for DomWalker<'_> {
     type Item = NodeId;
     fn next(&mut self) -> Option<NodeId> {
-        loop {
-            let id = self.stack.pop()?;
-            let node = self.doc.node(id);
-            if node.detached {
-                continue;
+        let id = self.next?;
+        let node = self.doc.node(id);
+        self.next = node.first_child.or_else(|| {
+            // Climb until some ancestor-or-self has a next sibling.
+            let mut at = node;
+            loop {
+                if at.next_sibling.is_some() {
+                    return at.next_sibling;
+                }
+                at = self.doc.node(at.parent?);
             }
-            for &child in node.children.iter().rev() {
-                self.stack.push(child);
-            }
-            return Some(id);
-        }
+        });
+        Some(id)
     }
 }
 

@@ -84,6 +84,19 @@ pub fn encode_text(input: &str) -> String {
 /// Encodes an attribute value: like [`encode_text`] but also escapes `"`.
 pub fn encode_attr(input: &str) -> String {
     let mut out = String::with_capacity(input.len());
+    push_attr(&mut out, input);
+    out
+}
+
+/// Appends the [`encode_attr`] encoding of `input` to `out`.
+pub fn push_attr(out: &mut String, input: &str) {
+    if !input
+        .bytes()
+        .any(|b| matches!(b, b'&' | b'<' | b'>' | b'"'))
+    {
+        out.push_str(input);
+        return;
+    }
     for ch in input.chars() {
         match ch {
             '&' => out.push_str("&amp;"),
@@ -93,7 +106,6 @@ pub fn encode_attr(input: &str) -> String {
             _ => out.push(ch),
         }
     }
-    out
 }
 
 #[cfg(test)]

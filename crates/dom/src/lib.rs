@@ -33,6 +33,7 @@ pub use diff::{changed_roots, ChangedTarget};
 pub use dom::{Document, Node, NodeData, NodeId};
 pub use events::{EventBinding, EventType};
 pub use hash::{fnv64, fnv64_str, Fnv64};
-pub use parser::{parse_document, parse_fragment};
+pub use parser::parse_document;
 pub use select::{select, Selector, SelectorError};
+pub use serialize::NormalizedView;
 pub use tokenizer::{Attribute, Token, Tokenizer};

@@ -20,64 +20,61 @@ pub fn is_void_element(name: &str) -> bool {
 
 /// Parses a complete HTML document.
 pub fn parse_document(html: &str) -> Document {
-    parse_into(html)
-}
-
-/// Parses an HTML *fragment* (the `innerHTML` setter path). Identical
-/// algorithm; the distinction is kept for API clarity and future divergence.
-pub fn parse_fragment(html: &str) -> Document {
-    parse_into(html)
-}
-
-fn parse_into(html: &str) -> Document {
     let mut doc = Document::new();
-    let mut open: Vec<(String, NodeId)> = Vec::new();
+    let root = doc.root();
+    parse_into(&mut doc, root, html);
+    doc
+}
 
-    let current = |open: &Vec<(String, NodeId)>, doc: &Document| -> NodeId {
-        open.last().map(|(_, id)| *id).unwrap_or(doc.root())
-    };
+/// Parses `html` and appends the resulting nodes under `parent`, straight
+/// into `doc`'s arena (the `innerHTML` setter path). End tags match only
+/// elements opened by `html` itself, so a fragment cannot close the element
+/// it is set into.
+pub fn parse_into(doc: &mut Document, parent: NodeId, html: &str) {
+    // The elements `html` has opened and not yet closed, innermost last.
+    let mut open: Vec<NodeId> = Vec::new();
 
     for token in Tokenizer::new(html) {
+        let current = open.last().copied().unwrap_or(parent);
         match token {
             Token::Doctype(_) => {}
             Token::Comment(body) => {
-                let parent = current(&open, &doc);
-                doc.append(parent, NodeData::Comment(body));
+                doc.append(current, NodeData::Comment(body));
             }
             Token::Text(text) => {
-                if text.is_empty() {
-                    continue;
+                if !text.is_empty() {
+                    doc.append(current, NodeData::Text(text));
                 }
-                let parent = current(&open, &doc);
-                doc.append(parent, NodeData::Text(text));
             }
             Token::StartTag {
                 name,
                 attrs,
                 self_closing,
             } => {
-                let parent = current(&open, &doc);
+                let takes_children = !self_closing && !is_void_element(&name);
                 let id = doc.append(
-                    parent,
+                    current,
                     NodeData::Element {
-                        name: name.clone(),
+                        name,
                         attrs: attrs.into_iter().map(|a| (a.name, a.value)).collect(),
                     },
                 );
-                if !self_closing && !is_void_element(&name) {
-                    open.push((name, id));
+                if takes_children {
+                    open.push(id);
                 }
             }
             Token::EndTag { name } => {
                 // Pop up to (and including) the nearest matching open element;
                 // if none matches, ignore the stray end tag.
-                if let Some(pos) = open.iter().rposition(|(n, _)| *n == name) {
+                if let Some(pos) = open
+                    .iter()
+                    .rposition(|&id| doc.tag_name(id) == Some(name.as_str()))
+                {
                     open.truncate(pos);
                 }
             }
         }
     }
-    doc
 }
 
 #[cfg(test)]

@@ -2,7 +2,9 @@
 
 use crate::dom::{Document, NodeData, NodeId};
 use crate::entities;
+use crate::hash::fnv64_str;
 use crate::parser::is_void_element;
+use std::ops::Range;
 
 /// Serializes the children of `id` (the `innerHTML` getter).
 pub fn inner_html(doc: &Document, id: NodeId) -> String {
@@ -19,7 +21,7 @@ pub fn document_html(doc: &Document) -> String {
 }
 
 fn serialize_node(doc: &Document, id: NodeId, out: &mut String) {
-    match &doc.node(id).data {
+    match &*doc.node(id).data {
         NodeData::Root => {
             for child in doc.children(id) {
                 serialize_node(doc, child, out);
@@ -48,7 +50,7 @@ fn serialize_node(doc: &Document, id: NodeId, out: &mut String) {
             if name == "script" || name == "style" {
                 // Raw text: serialize children verbatim.
                 for child in doc.children(id) {
-                    if let NodeData::Text(t) = &doc.node(child).data {
+                    if let NodeData::Text(t) = &*doc.node(child).data {
                         out.push_str(t);
                     }
                 }
@@ -72,69 +74,114 @@ fn serialize_node(doc: &Document, id: NodeId, out: &mut String) {
 /// * script bodies dropped (code is not content; a state is what the user
 ///   *sees* — the thesis hashes "the content of the state").
 pub fn normalized_html(doc: &Document) -> String {
-    let mut out = String::new();
-    normalize_node(doc, doc.root(), &mut out);
-    out
+    NormalizedView::of(doc).text
 }
 
-fn normalize_node(doc: &Document, id: NodeId, out: &mut String) {
-    match &doc.node(id).data {
-        NodeData::Root => {
-            for child in doc.children(id) {
-                normalize_node(doc, child, out);
+/// The normalized serialization of a document plus, for every node, the
+/// byte span its subtree occupies in it — built in one traversal.
+///
+/// The state hash is the FNV of [`Self::text`]; two aligned subtrees are
+/// content-equal exactly when their [`Self::subtree`] slices are equal,
+/// which is how the transition diff decides "changed" without serializing
+/// anything again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NormalizedView {
+    text: String,
+    /// Indexed by `NodeId`. Nodes that normalize to nothing (comments,
+    /// scripts, blank text, detached nodes) have an empty span.
+    spans: Vec<Range<usize>>,
+}
+
+impl NormalizedView {
+    /// Normalizes `doc` ([`Document::normalized_view`]).
+    pub(crate) fn of(doc: &Document) -> Self {
+        let mut view = Self {
+            text: String::new(),
+            spans: vec![0..0; doc.arena_len()],
+        };
+        view.visit(doc, doc.root());
+        view
+    }
+
+    /// The whole normalized serialization ([`normalized_html`]).
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// FNV-64 of the text ([`Document::content_hash`]).
+    pub fn hash(&self) -> u64 {
+        fnv64_str(&self.text)
+    }
+
+    /// The normalized serialization of the subtree under `id`, which must
+    /// be a node of the document this view was built from.
+    pub fn subtree(&self, id: NodeId) -> &str {
+        &self.text[self.spans[id.index()].clone()]
+    }
+
+    /// Whether this view has a span for every node of `doc` and no more —
+    /// the cheap part of "was built from `doc` as it stands".
+    pub(crate) fn covers(&self, doc: &Document) -> bool {
+        self.spans.len() == doc.arena_len()
+    }
+
+    fn visit(&mut self, doc: &Document, id: NodeId) {
+        let start = self.text.len();
+        match &*doc.node(id).data {
+            NodeData::Root => {
+                for child in doc.children(id) {
+                    self.visit(doc, child);
+                }
+            }
+            NodeData::Comment(_) => {}
+            NodeData::Text(t) => push_collapsed(&mut self.text, t),
+            NodeData::Element { name, .. } if name == "script" || name == "style" => {}
+            NodeData::Element { name, attrs } => {
+                let out = &mut self.text;
+                out.push('<');
+                out.push_str(name);
+                // A stable sort by name; most tags arrive sorted already.
+                if attrs.windows(2).all(|w| w[0].0 <= w[1].0) {
+                    attrs.iter().for_each(|attr| push_attribute(out, attr));
+                } else {
+                    let mut sorted: Vec<&(String, String)> = attrs.iter().collect();
+                    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                    sorted
+                        .into_iter()
+                        .for_each(|attr| push_attribute(out, attr));
+                }
+                out.push('>');
+                for child in doc.children(id) {
+                    self.visit(doc, child);
+                }
+                self.text.push_str("</");
+                self.text.push_str(name);
+                self.text.push('>');
             }
         }
-        NodeData::Comment(_) => {}
-        NodeData::Text(t) => {
-            let collapsed = collapse_ws(t);
-            if !collapsed.is_empty() {
-                out.push_str(&collapsed);
-            }
-        }
-        NodeData::Element { name, attrs } => {
-            if name == "script" || name == "style" {
-                return;
-            }
-            out.push('<');
-            out.push_str(name);
-            let mut sorted: Vec<&(String, String)> = attrs.iter().collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            for (attr_name, attr_value) in sorted {
-                out.push(' ');
-                out.push_str(attr_name);
-                out.push_str("=\"");
-                out.push_str(&entities::encode_attr(attr_value));
-                out.push('"');
-            }
-            out.push('>');
-            for child in doc.children(id) {
-                normalize_node(doc, child, out);
-            }
-            out.push_str("</");
-            out.push_str(name);
-            out.push('>');
-        }
+        self.spans[id.index()] = start..self.text.len();
     }
 }
 
-fn collapse_ws(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut last_ws = true;
-    for ch in s.chars() {
-        if ch.is_whitespace() {
-            if !last_ws {
-                out.push(' ');
-            }
-            last_ws = true;
-        } else {
-            out.push(ch);
-            last_ws = false;
+fn push_attribute(out: &mut String, (name, value): &(String, String)) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    entities::push_attr(out, value);
+    out.push('"');
+}
+
+/// Appends `s` with whitespace runs collapsed to one space and both ends
+/// trimmed (nothing at all for blank text).
+fn push_collapsed(out: &mut String, s: &str) {
+    let mut words = s.split_whitespace();
+    if let Some(first) = words.next() {
+        out.push_str(first);
+        for word in words {
+            out.push(' ');
+            out.push_str(word);
         }
     }
-    while out.ends_with(' ') {
-        out.pop();
-    }
-    out
 }
 
 #[cfg(test)]

@@ -67,6 +67,9 @@ pub struct Interpreter {
     steps: u64,
     fuel_limit: u64,
     max_depth: usize,
+    /// Parse results of the snippets [`Self::eval`] has seen, keyed by
+    /// source: a crawler fires the same `onclick` text once per state.
+    snippets: HashMap<String, Result<Rc<Program>, JsError>>,
 }
 
 impl Default for Interpreter {
@@ -91,6 +94,7 @@ impl Interpreter {
             steps: 0,
             fuel_limit,
             max_depth: DEFAULT_MAX_DEPTH,
+            snippets: HashMap::new(),
         }
     }
 
@@ -174,13 +178,22 @@ impl Interpreter {
 
     /// Evaluates an event-handler snippet (e.g. the value of an `onclick`
     /// attribute) and returns the value of its final expression statement.
+    /// Each distinct `src` is parsed once per interpreter; a snippet that
+    /// does not parse fails with the same error every time.
     pub fn eval(
         &mut self,
         src: &str,
         host: &mut dyn Host,
         hook: &mut dyn DebugHook,
     ) -> Result<Value, JsError> {
-        let program = parse_program(src)?;
+        let program = match self.snippets.get(src) {
+            Some(parsed) => parsed.clone(),
+            None => {
+                let parsed = parse_program(src).map(Rc::new);
+                self.snippets.insert(src.to_string(), parsed.clone());
+                parsed
+            }
+        }?;
         let mut run = Run { host, hook };
         self.hoist(&program.body);
         let mut last = Value::Undefined;
@@ -1090,6 +1103,36 @@ mod tests {
     fn eval_err(src: &str) -> JsError {
         let mut interp = Interpreter::new();
         interp.eval(src, &mut NullHost, &mut NoopHook).unwrap_err()
+    }
+
+    #[test]
+    fn repeated_snippets_reuse_their_parse() {
+        let mut interp = Interpreter::new();
+        interp
+            .load_program(
+                "var n = 0; function bump() { n = n + 1; return n; }",
+                &mut NullHost,
+                &mut NoopHook,
+            )
+            .unwrap();
+        let fire = |interp: &mut Interpreter, src: &str| {
+            let before = interp.steps();
+            let result = interp.eval(src, &mut NullHost, &mut NoopHook);
+            (result, interp.steps() - before)
+        };
+        // Same source, fresh execution each time, same step count.
+        let (first, steps_first) = fire(&mut interp, "bump()");
+        let (second, steps_second) = fire(&mut interp, "bump()");
+        assert_eq!(first, Ok(Value::Num(1.0)));
+        assert_eq!(second, Ok(Value::Num(2.0)));
+        assert_eq!(steps_first, steps_second);
+        // A snippet that does not parse fails the same way every time,
+        // without burning a step.
+        let (bad_first, steps_bad) = fire(&mut interp, "bump(");
+        let (bad_second, _) = fire(&mut interp, "bump(");
+        assert_eq!(bad_first.clone().unwrap_err().kind, JsErrorKind::Parse);
+        assert_eq!(bad_first, bad_second);
+        assert_eq!(steps_bad, 0);
     }
 
     #[test]
