@@ -5,8 +5,9 @@
 //! **independent shard processes exchanging small messages** over localhost
 //! TCP.
 //!
-//! * [`proto`] — the length-prefixed binary frame format; JSON payloads
-//!   with bit-exact `f64` round-tripping, correlation ids for pipelining;
+//! * [`proto`] — the length-prefixed binary frame format: fixed-width
+//!   little-endian payloads carrying `f64` as raw bits, correlation ids
+//!   for pipelining;
 //! * [`shard`] — the shard server: one index partition behind a listener,
 //!   evaluating queries with `eval_shard` and returning local results plus
 //!   the `(|Idx|, df)` stats for merge-time global idf;

@@ -26,10 +26,12 @@
 
 use crate::error::DistError;
 use crate::proto::{
-    read_message, write_message, EvalReply, Message, ShardInfo, WireError, PROTO_VERSION,
+    encode_message, read_message, EvalReply, Message, ShardInfo, WireError, PROTO_VERSION,
 };
 use ajax_index::{eval_shard_with_scratch, InvertedIndex, ScoreScratch};
 use ajax_obs::{AttrValue, SpanLog};
+use std::collections::HashMap;
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -46,13 +48,16 @@ pub fn bind_shard(host: &str, port: u16) -> Result<TcpListener, DistError> {
     })
 }
 
+type LiveConns = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
 /// Everything a connection thread needs.
 struct ShardCtx {
     index: Arc<InvertedIndex>,
     shard_id: usize,
     shutdown: Arc<AtomicBool>,
-    /// Clones of live connection streams, so `kill` can sever them.
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// Clones of live connection streams by accept order, so `kill` can
+    /// sever them. A connection's entry goes when its thread returns.
+    conns: LiveConns,
     /// Optional shard-side flight recorder (thread mode only): `rpc.recv` /
     /// `shard.eval` / `rpc.send` spans on track `shard_id + 1`, timestamps
     /// in µs since `epoch`.
@@ -89,7 +94,7 @@ pub fn serve_shard(listener: TcpListener, index: Arc<InvertedIndex>, shard_id: u
         index,
         shard_id,
         shutdown: Arc::new(AtomicBool::new(false)),
-        conns: Arc::new(Mutex::new(Vec::new())),
+        conns: LiveConns::default(),
         trace: None,
         epoch: Instant::now(),
     });
@@ -97,7 +102,7 @@ pub fn serve_shard(listener: TcpListener, index: Arc<InvertedIndex>, shard_id: u
 }
 
 fn accept_loop(listener: TcpListener, ctx: &Arc<ShardCtx>) {
-    loop {
+    for conn_id in 0u64.. {
         let Ok((stream, _)) = listener.accept() else {
             return;
         };
@@ -106,15 +111,26 @@ fn accept_loop(listener: TcpListener, ctx: &Arc<ShardCtx>) {
         }
         let _ = stream.set_nodelay(true);
         if let Ok(clone) = stream.try_clone() {
-            ctx.conns.lock().unwrap().push(clone);
+            ctx.conns.lock().unwrap().insert(conn_id, clone);
         }
         let ctx = Arc::clone(ctx);
-        std::thread::spawn(move || connection_loop(stream, &ctx));
+        std::thread::spawn(move || {
+            connection_loop(stream, &ctx);
+            // Every hedge is a fresh connection: without this the clone's
+            // fd would stay open until `kill`.
+            ctx.conns.lock().unwrap().remove(&conn_id);
+        });
     }
 }
 
 fn connection_loop(mut stream: TcpStream, ctx: &ShardCtx) {
     let mut scratch = ScoreScratch::default();
+    // One frame buffer for everything this connection sends.
+    let mut frame = Vec::new();
+    let mut send = |stream: &mut TcpStream, msg: &Message| {
+        encode_message(&mut frame, msg)?;
+        stream.write_all(&frame)
+    };
     loop {
         let recv_start = ctx.now();
         let msg = match read_message(&mut stream) {
@@ -132,7 +148,7 @@ fn connection_loop(mut stream: TcpStream, ctx: &ShardCtx) {
                     index_bytes: ctx.index.approx_bytes() as u64,
                     term_count: ctx.index.term_count() as u64,
                 };
-                if write_message(&mut stream, &Message::Pong(info)).is_err() {
+                if send(&mut stream, &Message::Pong(info)).is_err() {
                     return;
                 }
             }
@@ -167,7 +183,7 @@ fn connection_loop(mut stream: TcpStream, ctx: &ShardCtx) {
                     }
                 };
                 let send_start = ctx.now();
-                if write_message(&mut stream, &reply).is_err() {
+                if send(&mut stream, &reply).is_err() {
                     return;
                 }
                 ctx.record_span("rpc.send", send_start, ctx.now(), req.id);
@@ -184,7 +200,7 @@ pub struct ShardHandle {
     /// Where the shard listens (always 127.0.0.1).
     pub addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: LiveConns,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -204,7 +220,7 @@ impl ShardHandle {
             index,
             shard_id,
             shutdown: Arc::new(AtomicBool::new(false)),
-            conns: Arc::new(Mutex::new(Vec::new())),
+            conns: LiveConns::default(),
             trace,
             epoch: Instant::now(),
         });
@@ -228,7 +244,7 @@ impl ShardHandle {
     /// can be spawned on the same address to test reconnect-with-backoff.
     pub fn kill(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for conn in self.conns.lock().unwrap().drain(..) {
+        for (_, conn) in self.conns.lock().unwrap().drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         // Unblock the accept loop with a throwaway connection.
@@ -248,7 +264,7 @@ impl Drop for ShardHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::EvalRequest;
+    use crate::proto::{write_message, EvalRequest};
     use ajax_crawl::model::AppModel;
     use ajax_index::{IndexBuilder, Query, RankWeights};
 
@@ -315,6 +331,24 @@ mod tests {
         let mut conn = TcpStream::connect(addr).unwrap();
         write_message(&mut conn, &Message::Ping).unwrap();
         assert!(matches!(read_message(&mut conn).unwrap(), Message::Pong(_)));
+    }
+
+    #[test]
+    fn closed_connections_leave_no_stream_behind() {
+        let shard = ShardHandle::spawn(test_index(), 0, 0, None).unwrap();
+        for _ in 0..32 {
+            // What a hedge does: connect, one round-trip, hang up.
+            let mut conn = TcpStream::connect(shard.addr).unwrap();
+            write_message(&mut conn, &Message::Ping).unwrap();
+            assert!(matches!(read_message(&mut conn).unwrap(), Message::Pong(_)));
+        }
+        // Each connection thread drops its entry when it sees the hang-up;
+        // nothing signals that to a client, so poll.
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !shard.conns.lock().unwrap().is_empty() {
+            assert!(Instant::now() < deadline, "closed connections still held");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     }
 
     #[test]

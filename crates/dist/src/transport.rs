@@ -1,11 +1,11 @@
 //! [`TcpTransport`]: the coordinator's side of the wire.
 //!
-//! One persistent connection per shard. `ship` assigns each shard a fresh
-//! correlation id, registers the query's [`Rendezvous`] as pending, and
-//! writes one `Eval` frame per shard back-to-back — queries *pipeline*: many
-//! can be in flight per connection, and a dedicated reader thread per shard
-//! routes each reply to its rendezvous by id, in whatever order shards
-//! answer.
+//! One persistent connection per shard. `ship` assigns the query one
+//! correlation id, encodes its `Eval` frame once, registers the query's
+//! [`Rendezvous`] as pending on every connection, and writes the same bytes
+//! to each shard back-to-back — queries *pipeline*: many can be in flight
+//! per connection, and a dedicated reader thread per shard routes each
+//! reply to its rendezvous by id, in whatever order shards answer.
 //!
 //! Failure semantics:
 //!
@@ -21,12 +21,13 @@
 //!   shard, so hedging can only improve latency — never change results.
 
 use crate::error::DistError;
-use crate::proto::{read_message, write_message, EvalRequest, Message, ShardInfo};
+use crate::proto::{encode_eval, read_message, write_message, Message, ShardInfo, PROTO_VERSION};
 use ajax_index::{InvertedIndex, Query, RankWeights};
 use ajax_net::Micros;
 use ajax_obs::{AttrValue, SpanLog};
 use ajax_serve::{Rendezvous, ShardOutcome, ShardTransport, TransportError};
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -147,12 +148,11 @@ fn handshake(stream: &mut TcpStream, addr: SocketAddr) -> Result<ShardInfo, Dist
     })?;
     match read_message(stream) {
         Ok(Message::Pong(info)) => {
-            if info.proto_version != crate::proto::PROTO_VERSION {
+            if info.proto_version != PROTO_VERSION {
                 return Err(DistError::Handshake {
                     addr,
                     detail: format!(
-                        "protocol version mismatch: coordinator speaks {}, shard speaks {}",
-                        crate::proto::PROTO_VERSION,
+                        "protocol version mismatch: coordinator speaks {PROTO_VERSION}, shard speaks {}",
                         info.proto_version
                     ),
                 });
@@ -163,9 +163,11 @@ fn handshake(stream: &mut TcpStream, addr: SocketAddr) -> Result<ShardInfo, Dist
             addr,
             detail: format!("expected Pong, got {other:?}"),
         }),
+        // A shard of another protocol version lands here: its Pong does not
+        // decode as this version's.
         Err(e) => Err(DistError::Handshake {
             addr,
-            detail: e.to_string(),
+            detail: format!("no protocol version {PROTO_VERSION} Pong: {e}"),
         }),
     }
 }
@@ -299,24 +301,17 @@ fn reconnect_backoff(conn: &Arc<ShardConn>) -> Option<TcpStream> {
     }
 }
 
-/// One synchronous hedge round-trip on a fresh direct connection.
+/// One synchronous hedge round-trip on a fresh direct connection, re-sending
+/// the query's already encoded `Eval` frame.
 fn hedge_eval(
     conn: &ShardConn,
     id: u64,
-    query: &Query,
-    weights: RankWeights,
+    eval_frame: &[u8],
 ) -> Result<(Vec<ajax_index::ShardResult>, ajax_index::ShardTermStats), std::io::Error> {
     let mut stream = TcpStream::connect(conn.endpoint.direct_addr)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    write_message(
-        &mut stream,
-        &Message::Eval(EvalRequest {
-            id,
-            query: query.clone(),
-            weights,
-        }),
-    )?;
+    stream.write_all(eval_frame)?;
     loop {
         match read_message(&mut stream)? {
             Message::Reply(reply) if reply.id == id => return Ok((reply.results, reply.stats)),
@@ -343,35 +338,31 @@ impl ShardTransport for TcpTransport {
         _deadline: Option<Micros>,
         reply: Arc<Rendezvous>,
     ) {
-        let mut shipped_ids = Vec::with_capacity(self.conns.len());
+        // `pending` is per connection, so one id serves every shard, and the
+        // frame is the same bytes for each of them.
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let mut frame = Vec::with_capacity(128);
+        let encoded = encode_eval(&mut frame, id, &query, &weights).is_ok();
+        let mut shipped = Vec::with_capacity(self.conns.len());
         for conn in &self.conns {
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
             conn.pending.lock().unwrap().insert(id, Arc::clone(&reply));
             let send_start = conn.now();
-            let sent = {
-                let mut writer = conn.writer.lock().unwrap();
-                match writer.as_mut() {
-                    Some(stream) => {
-                        let msg = Message::Eval(EvalRequest {
-                            id,
-                            query: (*query).clone(),
-                            weights,
-                        });
-                        write_message(stream, &msg).is_ok()
-                    }
-                    // Reconnecting: fail fast rather than queue on a dead
-                    // shard. The degraded response names this shard.
-                    None => false,
-                }
-            };
+            // Reconnecting (no writer): fail fast rather than queue on a
+            // dead shard. The degraded response names this shard.
+            let sent = encoded
+                && conn
+                    .writer
+                    .lock()
+                    .unwrap()
+                    .as_mut()
+                    .is_some_and(|stream| stream.write_all(&frame).is_ok());
             if sent {
                 conn.record_span("rpc.send", send_start, conn.now(), id);
-                shipped_ids.push(id);
             } else {
                 conn.pending.lock().unwrap().remove(&id);
                 reply.deliver(conn.shard_idx, ShardOutcome::Failed);
-                shipped_ids.push(0); // placeholder; nothing to hedge
             }
+            shipped.push(sent);
         }
 
         // Hedge watchdog: after the delay, re-issue for silent shards on a
@@ -383,8 +374,8 @@ impl ShardTransport for TcpTransport {
             let shutting_down = Arc::clone(&self.shutting_down);
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_micros(hedge_after));
-                for (conn, &id) in conns.iter().zip(&shipped_ids) {
-                    if id == 0
+                for (conn, &sent) in conns.iter().zip(&shipped) {
+                    if !sent
                         || reply.arrived(conn.shard_idx)
                         || shutting_down.load(Ordering::SeqCst)
                     {
@@ -392,7 +383,7 @@ impl ShardTransport for TcpTransport {
                     }
                     let start = conn.now();
                     hedges.fetch_add(1, Ordering::Relaxed);
-                    let outcome = hedge_eval(conn, id, &query, weights);
+                    let outcome = hedge_eval(conn, id, &frame);
                     conn.record_span("dist.hedge", start, conn.now(), id);
                     if let Ok((results, stats)) = outcome {
                         // Drop the pending entry so the (slower) primary

@@ -195,7 +195,14 @@ fn worker_loop(
                 ShardOutcome::TimedOut => "timed_out",
                 ShardOutcome::Failed => "failed",
             };
-            let end = clock.now_micros();
+            // Workers share the manual clock, so reading it back here could
+            // count another shard's advance: under it the span lasts exactly
+            // what this evaluation was charged.
+            let end = match (clock.is_manual(), expired) {
+                (true, true) => eval_start,
+                (true, false) => eval_start + eval_cost_micros,
+                (false, _) => clock.now_micros(),
+            };
             let mut log = trace.lock().expect("trace ring lock");
             // Track 0 belongs to the server's admission/merge spans.
             log.set_track(shard_idx as u32 + 1);

@@ -470,7 +470,7 @@ impl ShardServer {
             );
         }
 
-        if !degraded {
+        if !degraded && self.cache.capacity() > 0 {
             let evicted = self.cache.insert(key, Arc::new(results.clone()));
             self.metrics
                 .cache_evictions
@@ -940,6 +940,32 @@ mod tests {
         assert_eq!(hit.track, 0);
         assert!(hit.args.contains(&("result", AttrValue::str("cache_hit"))));
         assert!(server.take_trace().is_empty(), "take_trace drains");
+    }
+
+    #[test]
+    fn shard_eval_spans_last_the_charged_cost_however_workers_interleave() {
+        // The three shard workers of one fan-out advance the same manual
+        // clock concurrently. A span that read the clock back at its end
+        // would sometimes include a neighbour's advance; 300 uncached
+        // fan-outs make that interleaving all but certain.
+        let (clock, _handle) = ServeClock::manual();
+        let server = ShardServer::new(
+            build_broker(2),
+            ServeConfig::default()
+                .with_clock(clock)
+                .with_cache_capacity(0)
+                .with_eval_cost_micros(500)
+                .with_tracing(true),
+        );
+        for _ in 0..300 {
+            server.search("wow").unwrap();
+        }
+        let spans = server.take_trace();
+        let evals: Vec<_> = spans.iter().filter(|s| s.name == "shard.eval").collect();
+        assert_eq!(evals.len(), 900);
+        for s in evals {
+            assert_eq!(s.dur, 500, "shard.eval on track {}", s.track);
+        }
     }
 
     #[test]
