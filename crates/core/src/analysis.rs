@@ -7,9 +7,10 @@
 
 use ajax_dom::events::{collect_event_bindings, EventBinding};
 use ajax_dom::{parse_document, Document, EventType, NodeId};
+use ajax_js::ast::Program;
 use ajax_js::callgraph::InvocationGraph;
 use ajax_js::effects::{graph_diagnostics, EffectAnalysis, EffectSummary};
-use ajax_js::{AbsLoc, LocSet};
+use ajax_js::{parse_program, AbsLoc, JsError, LocSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
@@ -433,17 +434,48 @@ pub fn canonical_signature(sum: &EffectSummary) -> String {
     )
 }
 
+/// A fetched page as parsed, before any of it ran: what the browser
+/// executes and the static analyses read, so a page load parses once.
+#[derive(Debug)]
+pub struct ParsedPage {
+    /// The document as the server sent it.
+    pub doc: Document,
+    /// Every non-blank `<script>` body in document order, parsed.
+    pub scripts: Vec<Result<Program, JsError>>,
+}
+
+impl ParsedPage {
+    /// Parses `html` and the scripts it carries.
+    pub fn parse(html: &str) -> Self {
+        let doc = parse_document(html);
+        let scripts = doc
+            .script_sources()
+            .iter()
+            .map(|src| parse_program(src))
+            .collect();
+        Self { doc, scripts }
+    }
+
+    /// The merged invocation graph of the scripts that parsed, and how
+    /// many did not.
+    pub fn invocation_graph(&self) -> (InvocationGraph, usize) {
+        let mut graph = InvocationGraph::default();
+        let mut script_errors = 0;
+        for script in &self.scripts {
+            match script {
+                Ok(program) => graph.merge(InvocationGraph::from_program(program)),
+                Err(_) => script_errors += 1,
+            }
+        }
+        (graph, script_errors)
+    }
+}
+
 /// Analyzes a page's HTML statically.
 pub fn analyze_page(html: &str) -> PageAnalysis {
-    let doc = parse_document(html);
-    let mut graph = InvocationGraph::default();
-    let mut script_errors = 0;
-    for src in doc.script_sources() {
-        match InvocationGraph::from_source(&src) {
-            Ok(g) => graph.merge(g),
-            Err(_) => script_errors += 1,
-        }
-    }
+    let page = ParsedPage::parse(html);
+    let (graph, script_errors) = page.invocation_graph();
+    let doc = page.doc;
     let bindings = collect_event_bindings(&doc, EventType::all());
     let dom_ids: BTreeSet<String> = doc
         .walk()

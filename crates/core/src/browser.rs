@@ -3,10 +3,12 @@
 //! `document` API and an `XMLHttpRequest` whose `send()` is the hot-node
 //! interception point of thesis §4.4.
 
+use crate::analysis::ParsedPage;
 use crate::crawler::{CpuCostModel, FetchFailure, LastError, RetryPolicy};
 use crate::hotnode::HotNodeCache;
 use ajax_dom::hash::FnvHashMap;
 use ajax_dom::{parse_document, Document, NodeId, NormalizedView};
+use ajax_js::ast::Program;
 use ajax_js::{
     DebugHook, GlobalsSnapshot, Host, HostCtx, Interpreter, JsError, NoopHook, ObjId, Value,
 };
@@ -14,7 +16,7 @@ use ajax_net::fault::NetError;
 use ajax_net::sched::Segment;
 use ajax_net::{Micros, NetClient, Url};
 use ajax_obs::{AttrValue, Recorder};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -215,6 +217,7 @@ enum HostObj {
 /// frame's `(function, args)`, and only go to the network on a miss.
 struct PageHost<'a, 'b> {
     doc: &'a mut Document,
+    fragments: &'a mut FragmentMemo,
     base_url: &'a Url,
     env: &'a mut CrawlEnv<'b>,
     objects: FnvHashMap<u32, HostObj>,
@@ -227,6 +230,7 @@ const DOC_OBJ: u32 = 0;
 impl<'a, 'b> PageHost<'a, 'b> {
     fn new(
         doc: &'a mut Document,
+        fragments: &'a mut FragmentMemo,
         base_url: &'a Url,
         env: &'a mut CrawlEnv<'b>,
         outcome: &'a mut EventOutcome,
@@ -235,6 +239,7 @@ impl<'a, 'b> PageHost<'a, 'b> {
         objects.insert(DOC_OBJ, HostObj::Document);
         Self {
             doc,
+            fragments,
             base_url,
             env,
             objects,
@@ -464,9 +469,18 @@ impl Host for PageHost<'_, '_> {
                 let node = *node;
                 let html = value.to_string_value();
                 // Re-parsing the fragment is CPU work (incremental model
-                // maintenance is the thesis' main non-network cost, §7.2.3).
+                // maintenance is the thesis' main non-network cost, §7.2.3),
+                // charged per refill though a text is parsed once per page.
                 self.env.charge_cpu(self.env.costs.parse_cost(html.len()));
-                self.doc.set_inner_html(node, &html);
+                let fragment = match self.fragments.get(html.as_str()) {
+                    Some(parsed) => Rc::clone(parsed),
+                    None => {
+                        let parsed = Rc::new(parse_document(&html));
+                        self.fragments.insert(html.into(), Rc::clone(&parsed));
+                        parsed
+                    }
+                };
+                self.doc.set_inner_fragment(node, &fragment);
                 Ok(())
             }
             (Some(_), _) => Ok(()), // Setting other props is a tolerated no-op.
@@ -474,6 +488,12 @@ impl Host for PageHost<'_, '_> {
         }
     }
 }
+
+/// The `innerHTML` texts a page has assigned so far, parsed. A crawl
+/// assigns few distinct texts many times over (a placeholder, the same
+/// cached response after every rollback); refilling from the parse shares
+/// its payloads instead of tokenizing again. Lives and dies with the page.
+type FragmentMemo = HashMap<Box<str>, Rc<Document>>;
 
 /// A snapshot of the browser: DOM + JS globals, plus the normalized view
 /// the state was hashed from. Cloned per discovered state and restored
@@ -506,6 +526,7 @@ pub struct Browser {
     /// set by [`Self::state_hash`] and [`Self::restore`], dropped by
     /// whatever may mutate the page (running JS, [`Self::doc_mut`]).
     view: Option<Rc<NormalizedView>>,
+    fragments: FragmentMemo,
 }
 
 impl Browser {
@@ -532,26 +553,44 @@ impl Browser {
         env: &mut CrawlEnv<'_>,
     ) -> (Self, Vec<JsError>, EventOutcome) {
         env.charge_cpu(env.costs.parse_cost(html.len()));
-        let doc = parse_document(html);
+        let page = ParsedPage::parse(html);
+        Self::load_parsed(url, page.doc, &page.scripts, js_fuel, env)
+    }
+
+    /// [`Self::load_with_outcome`] for a page the caller has parsed (and
+    /// charged the parse of): `doc` as the server sent it, and its
+    /// `<script>` bodies in document order. A script that did not parse
+    /// reports its error where it would have run.
+    pub fn load_parsed(
+        url: Url,
+        doc: Document,
+        scripts: &[Result<Program, JsError>],
+        js_fuel: u64,
+        env: &mut CrawlEnv<'_>,
+    ) -> (Self, Vec<JsError>, EventOutcome) {
         let mut browser = Self {
             url,
             doc,
             interp: Interpreter::with_fuel(js_fuel),
             view: None,
+            fragments: FragmentMemo::new(),
         };
         let mut errors = Vec::new();
         let mut outcome = EventOutcome::default();
 
-        let scripts = browser.doc.script_sources();
-        for src in scripts {
-            if let Err(e) = browser.run_js(&src, env, &mut outcome, RunKind::Program) {
-                errors.push(e);
-            }
+        for script in scripts {
+            let ran = match script {
+                Ok(program) => browser.run_js(Code::Program(program), env, &mut outcome),
+                Err(e) => Err(e.clone()),
+            };
+            errors.extend(ran.err());
         }
         if let Some(onload) = ajax_dom::events::body_onload(&browser.doc) {
-            if let Err(e) = browser.run_js(&onload, env, &mut outcome, RunKind::Snippet) {
-                errors.push(e);
-            }
+            errors.extend(
+                browser
+                    .run_js(Code::Snippet(&onload), env, &mut outcome)
+                    .err(),
+            );
         }
         (browser, errors, outcome)
     }
@@ -580,7 +619,7 @@ impl Browser {
     /// Fires one event handler snippet against the current state.
     pub fn fire_event(&mut self, code: &str, env: &mut CrawlEnv<'_>) -> EventOutcome {
         let mut outcome = EventOutcome::default();
-        if let Err(e) = self.run_js(code, env, &mut outcome, RunKind::Snippet) {
+        if let Err(e) = self.run_js(Code::Snippet(code), env, &mut outcome) {
             outcome.js_error = Some(e);
         }
         outcome
@@ -588,23 +627,19 @@ impl Browser {
 
     fn run_js(
         &mut self,
-        src: &str,
+        code: Code<'_>,
         env: &mut CrawlEnv<'_>,
         outcome: &mut EventOutcome,
-        kind: RunKind,
     ) -> Result<(), JsError> {
         self.view = None;
         let steps_before = self.interp.steps();
         // The on-enter hot-node detector (§4.4.2): instrumentation that
         // recognizes frames whose function is a known hot node.
         let mut hook = HotEnterDetector::from_cache(env.cache);
-        let mut host = PageHost::new(&mut self.doc, &self.url, env, outcome);
-        let result = match kind {
-            RunKind::Program => self
-                .interp
-                .load_program(src, &mut host, &mut hook)
-                .map(|_| ()),
-            RunKind::Snippet => self.interp.eval(src, &mut host, &mut hook).map(|_| ()),
+        let mut host = PageHost::new(&mut self.doc, &mut self.fragments, &self.url, env, outcome);
+        let result = match code {
+            Code::Program(program) => self.interp.run_program(program, &mut host, &mut hook),
+            Code::Snippet(src) => self.interp.eval(src, &mut host, &mut hook).map(|_| ()),
         };
         let steps = self.interp.steps() - steps_before;
         outcome.js_steps += steps;
@@ -666,9 +701,11 @@ impl Browser {
     }
 }
 
-enum RunKind {
-    Program,
-    Snippet,
+/// What [`Browser::run_js`] runs: a parsed `<script>` body, or the source
+/// of a handler attribute (the interpreter keeps those parsed itself).
+enum Code<'a> {
+    Program(&'a Program),
+    Snippet(&'a str),
 }
 
 /// The `DebugFrameImpl.onEnter` analogue: notices when execution enters a

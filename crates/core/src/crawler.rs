@@ -10,10 +10,12 @@
 //! * **Heuristic AJAX** (Alg. 4.2.1) — same, plus the hot-node cache
 //!   intercepting repeated `(function, args)` server calls.
 
+use crate::analysis::ParsedPage;
 use crate::browser::{Browser, CrawlEnv};
 use crate::checkpoint::{Checkpointer, FailureRecord, PageRecord};
 use crate::hotnode::HotNodeCache;
 use crate::model::{AppModel, StateId, Transition};
+use crate::planner::{BarrenClaim, BarrenLedger, Planner};
 use crate::recrawl::EventHistory;
 use ajax_dom::events::collect_event_bindings;
 use ajax_dom::{parse_document, EventType};
@@ -896,8 +898,15 @@ impl Crawler {
         new_history: &mut EventHistory,
     ) -> Result<(), CrawlError> {
         let load_start = env.net.now();
-        let (mut browser, load_errors, load_outcome) =
-            Browser::load_with_outcome(url.clone(), body, config.js_fuel, env);
+        env.charge_cpu(config.costs.parse_cost(body.len()));
+        let page = ParsedPage::parse(body);
+        let (mut browser, load_errors, load_outcome) = Browser::load_parsed(
+            url.clone(),
+            page.doc.clone(),
+            &page.scripts,
+            config.js_fuel,
+            env,
+        );
         stats.js_errors += load_errors.len() as u64;
         stats.failed_xhr += load_outcome.failed_xhr as u64;
         if load_outcome.exhausted_xhr > 0 {
@@ -919,22 +928,15 @@ impl Crawler {
         // handlers are proven pure (or fire-and-check in verify mode).
         let mut planner = config
             .static_prune
-            .then(|| StaticPlanner::new(body, config, env));
+            .then(|| Planner::for_page(page, body.len(), env));
         if let Some(p) = &planner {
-            stats.script_errors = p.analysis.script_errors as u64;
+            stats.script_errors = p.script_errors as u64;
         }
+        // Equivalence/commutativity pruning (docs/static-analysis.md).
+        let mut ledger = (config.equiv_prune && planner.is_some()).then(BarrenLedger::new);
 
         let mut snapshots = vec![browser.snapshot()];
         let mut queue = VecDeque::from([StateId::INITIAL]);
-
-        // Equivalence/commutativity pruning bookkeeping (both Vecs run
-        // parallel to `snapshots`): the handler codes known (or claimed)
-        // barren at each state, and the (parent state, action) edge that
-        // created each state — used to inherit barren verdicts across
-        // provably commuting events.
-        let equiv = config.equiv_prune && planner.is_some();
-        let mut state_barren: Vec<std::collections::BTreeSet<String>> = vec![Default::default()];
-        let mut parent_action: Vec<Option<(usize, String)>> = vec![None];
 
         'bfs: while let Some(state_id) = queue.pop_front() {
             // Focused crawling: expand only relevant states. An off-topic
@@ -957,30 +959,18 @@ impl Crawler {
             env.charge_cpu(config.costs.rollback_micros);
             env.rec.push0("crawl.rollback", rb_start, env.net.now());
             let bindings = collect_event_bindings(browser.doc(), &config.event_types);
-
-            // Commutativity: a handler barren at the parent state stays
-            // barren here when the event that created this state provably
-            // commutes with it (disjoint write/read+write sets — firing
-            // order is irrelevant, so its outcome is unchanged). BFS
-            // guarantees the parent finished expanding before any child
-            // pops, so the parent's barren set is complete.
-            if equiv {
-                if let Some((parent, action)) = parent_action[state_id.index()].clone() {
-                    let p = planner.as_mut().expect("equiv implies planner");
-                    let inherited: Vec<String> = state_barren[parent]
-                        .iter()
-                        .filter(|code| p.commutes(&action, code))
-                        .cloned()
-                        .collect();
-                    state_barren[state_id.index()].extend(inherited);
-                }
+            // From here on the planner knows a handler by its number
+            // (`snippets` runs parallel to `bindings`, empty without one).
+            let snippets: Vec<_> = match &mut planner {
+                Some(p) => bindings.iter().map(|b| p.intern(&b.code)).collect(),
+                None => Vec::new(),
+            };
+            if let (Some(ledger), Some(p)) = (&mut ledger, &mut planner) {
+                ledger.enter_state(state_id.index(), p);
             }
-            // Per-state equivalence-class outcomes: class id → "was the
-            // first fired member barren?". Later members of a barren class
-            // inherit the verdict instead of firing.
-            let mut class_outcome: HashMap<u32, bool> = HashMap::new();
 
-            for binding in bindings {
+            for (at, binding) in bindings.into_iter().enumerate() {
+                let snippet = snippets.get(at).copied();
                 if stats.events_fired >= config.max_events_per_page as u64 {
                     break 'bfs;
                 }
@@ -1003,7 +993,10 @@ impl Crawler {
                 // Static pruning: a handler proven stateless cannot create
                 // a transition, so firing it is pure waste. In verify mode
                 // it fires anyway and a state change is a soundness bug.
-                let pruned = planner.as_mut().is_some_and(|p| p.is_pure(&binding.code));
+                let pruned = planner
+                    .as_ref()
+                    .zip(snippet)
+                    .is_some_and(|(p, s)| p.is_pure(s));
                 if pruned {
                     stats.pruned_events += 1;
                     if !config.verify_prune {
@@ -1024,19 +1017,20 @@ impl Crawler {
                 // class representative was already observed barren here, is
                 // skipped — or fired and cross-checked in verify mode.
                 let mut claimed_barren = false;
-                if equiv && !pruned {
-                    let p = planner.as_mut().expect("equiv implies planner");
-                    if state_barren[state_id.index()].contains(&binding.code) {
-                        claimed_barren = true;
-                        stats.commute_pruned_events += 1;
-                    } else if let Some(class) = p.class_of(&binding.code) {
-                        if class_outcome.get(&class) == Some(&true) {
-                            claimed_barren = true;
-                            stats.equiv_pruned_events += 1;
-                        }
+                if let (Some(ledger), Some(p), Some(s)) = (&mut ledger, &mut planner, snippet) {
+                    let claim = if pruned {
+                        None
+                    } else {
+                        ledger.claim(state_id.index(), s, p)
+                    };
+                    match claim {
+                        Some(BarrenClaim::Commute) => stats.commute_pruned_events += 1,
+                        Some(BarrenClaim::Equiv) => stats.equiv_pruned_events += 1,
+                        None => {}
                     }
+                    claimed_barren = claim.is_some();
                     if claimed_barren && !config.verify_equiv {
-                        state_barren[state_id.index()].insert(binding.code.clone());
+                        ledger.mark_barren(state_id.index(), s);
                         new_history.record(
                             &binding.source,
                             binding.event_type,
@@ -1095,8 +1089,9 @@ impl Crawler {
                         let dom_html = config.store_dom.then(|| browser.doc().to_html());
                         let id = model.add_state(new_hash, text, dom_html);
                         snapshots.push(browser.snapshot());
-                        state_barren.push(Default::default());
-                        parent_action.push(Some((state_id.index(), binding.code.clone())));
+                        if let (Some(ledger), Some(s)) = (&mut ledger, snippet) {
+                            ledger.push_state(state_id.index(), s);
+                        }
                         queue.push_back(id);
                         id
                     } else {
@@ -1132,25 +1127,10 @@ impl Crawler {
                 if pruned && matches!(result, "transition" | "state_cap") {
                     stats.prune_mismatches += 1;
                 }
-                if equiv {
+                if let (Some(ledger), Some(p), Some(s)) = (&mut ledger, &mut planner, snippet) {
                     // Record this firing for later members of its class and
-                    // for barren inheritance into child states. `or_insert`
-                    // keeps the *first* fired member as the representative.
-                    let p = planner.as_mut().expect("equiv implies planner");
-                    match result {
-                        "unchanged" => {
-                            state_barren[state_id.index()].insert(binding.code.clone());
-                            if let Some(class) = p.class_of(&binding.code) {
-                                class_outcome.entry(class).or_insert(true);
-                            }
-                        }
-                        "transition" | "state_cap" | "js_error" | "partial" => {
-                            if let Some(class) = p.class_of(&binding.code) {
-                                class_outcome.entry(class).or_insert(false);
-                            }
-                        }
-                        _ => {}
-                    }
+                    // for barren inheritance into child states.
+                    ledger.record_firing(state_id.index(), s, result == "unchanged", p);
                     if claimed_barren && matches!(result, "transition" | "state_cap") {
                         stats.equiv_mismatches += 1;
                     }
@@ -1169,134 +1149,6 @@ impl Crawler {
             }
         }
         Ok(())
-    }
-}
-
-/// The per-page static crawl planner (docs/static-analysis.md): the page
-/// is effect-analyzed once after load; purity verdicts for the initial
-/// DOM's handlers come pre-computed, and snippets first seen in later
-/// states (server-injected fragments) are summarized on demand and
-/// memoized.
-struct StaticPlanner {
-    analysis: crate::analysis::PageAnalysis,
-    memo: HashMap<String, bool>,
-    /// Per-snippet effect summaries (`None` = unparseable), lazily extended
-    /// with snippets first seen in injected fragments.
-    summaries: HashMap<String, Option<ajax_js::EffectSummary>>,
-    /// Canonical signature → dense class id. Grows as injected snippets
-    /// introduce new signatures; ids are stable within one page crawl.
-    sig_classes: HashMap<String, u32>,
-    /// Snippet → its equivalence class (`None` = unparseable, never classed).
-    class_memo: HashMap<String, Option<u32>>,
-    /// Commutativity verdicts, keyed by the (lexicographically ordered)
-    /// snippet pair — the relation is symmetric.
-    commute_memo: HashMap<(String, String), bool>,
-}
-
-impl StaticPlanner {
-    fn new(body: &str, config: &CrawlConfig, env: &mut CrawlEnv<'_>) -> Self {
-        let start = env.net.now();
-        // The analysis re-parses the document and every script; charge it
-        // like the parse it is so the virtual clock stays honest.
-        env.charge_cpu(config.costs.parse_cost(body.len()));
-        let analysis = crate::analysis::analyze_page(body);
-        let memo: HashMap<String, bool> = analysis
-            .verdicts()
-            .map(|(code, v)| (code.to_string(), v.is_pure()))
-            .collect();
-        let summaries: HashMap<String, Option<ajax_js::EffectSummary>> = analysis
-            .verdicts()
-            .map(|(code, v)| (code.to_string(), v.parsed.then(|| v.summary.clone())))
-            .collect();
-        if env.rec.is_on() {
-            let pure = memo.values().filter(|p| **p).count() as u64;
-            env.rec.push(
-                "analysis.page",
-                start,
-                env.net.now(),
-                vec![
-                    (
-                        "functions",
-                        AttrValue::U64(analysis.graph.functions().count() as u64),
-                    ),
-                    ("bindings", AttrValue::U64(analysis.bindings.len() as u64)),
-                    ("pure_snippets", AttrValue::U64(pure)),
-                    (
-                        "script_errors",
-                        AttrValue::U64(analysis.script_errors as u64),
-                    ),
-                ],
-            );
-        }
-        StaticPlanner {
-            analysis,
-            memo,
-            summaries,
-            sig_classes: HashMap::new(),
-            class_memo: HashMap::new(),
-            commute_memo: HashMap::new(),
-        }
-    }
-
-    /// True when firing `code` provably cannot change application state.
-    fn is_pure(&mut self, code: &str) -> bool {
-        if let Some(&pure) = self.memo.get(code) {
-            return pure;
-        }
-        let pure = self
-            .analysis
-            .effects
-            .snippet_summary_src(code)
-            .map(|s| s.is_pure())
-            .unwrap_or(false);
-        self.memo.insert(code.to_string(), pure);
-        pure
-    }
-
-    /// The effect summary of a handler snippet: pre-computed for initial-DOM
-    /// handlers, summarized on demand for snippets first seen in injected
-    /// fragments. `None` when the snippet does not parse.
-    fn summary_of(&mut self, code: &str) -> Option<ajax_js::EffectSummary> {
-        if let Some(cached) = self.summaries.get(code) {
-            return cached.clone();
-        }
-        let summary = self.analysis.effects.snippet_summary_src(code).ok();
-        self.summaries.insert(code.to_string(), summary.clone());
-        summary
-    }
-
-    /// The equivalence class of a handler snippet (`None` when unparseable).
-    /// Class ids are allocated lazily per canonical signature, so snippets
-    /// injected mid-crawl join existing classes when isomorphic.
-    fn class_of(&mut self, code: &str) -> Option<u32> {
-        if let Some(cached) = self.class_memo.get(code) {
-            return *cached;
-        }
-        let class = self.summary_of(code).map(|sum| {
-            let sig = crate::analysis::canonical_signature(&sum);
-            let next = self.sig_classes.len() as u32;
-            *self.sig_classes.entry(sig).or_insert(next)
-        });
-        self.class_memo.insert(code.to_string(), class);
-        class
-    }
-
-    /// True when the two snippets provably commute (memoized; symmetric).
-    fn commutes(&mut self, a: &str, b: &str) -> bool {
-        let key = if a <= b {
-            (a.to_string(), b.to_string())
-        } else {
-            (b.to_string(), a.to_string())
-        };
-        if let Some(&verdict) = self.commute_memo.get(&key) {
-            return verdict;
-        }
-        let verdict = match (self.summary_of(a), self.summary_of(b)) {
-            (Some(sa), Some(sb)) => self.analysis.summaries_commute(&sa, &sb),
-            _ => false,
-        };
-        self.commute_memo.insert(key, verdict);
-        verdict
     }
 }
 

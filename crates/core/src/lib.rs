@@ -42,11 +42,14 @@ pub mod model;
 pub mod pagerank;
 pub mod parallel;
 pub mod partition;
+pub mod planner;
 pub mod precrawl;
 pub mod recrawl;
 pub mod replay;
 
-pub use analysis::{analyze_page, canonical_signature, BindingVerdict, EquivClass, PageAnalysis};
+pub use analysis::{
+    analyze_page, canonical_signature, BindingVerdict, EquivClass, PageAnalysis, ParsedPage,
+};
 pub use browser::Browser;
 pub use checkpoint::{
     CheckpointError, CheckpointStats, Checkpointer, CrawlCheckpoint, FailureRecord, PageRecord,

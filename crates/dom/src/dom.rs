@@ -313,12 +313,34 @@ impl Document {
         parser::parse_into(self, id, html);
     }
 
+    /// [`Self::set_inner_html`] for markup that is already parsed: replaces
+    /// the children of `id` by a copy of everything in `fragment`, which
+    /// must be the parse of that markup on its own. Nodes are appended in
+    /// the order the parser would create them, so the resulting `NodeId`s
+    /// equal those of `set_inner_html` on the same text; payloads are
+    /// shared with `fragment`, not copied.
+    pub fn set_inner_fragment(&mut self, id: NodeId, fragment: &Document) {
+        self.clear_children(id);
+        self.graft(fragment, fragment.root(), id);
+    }
+
     /// Copies the subtree under `src_id` of `src` as children of
-    /// `dst_parent`, sharing the payloads.
+    /// `dst_parent`, in document order, sharing the payloads.
     fn graft(&mut self, src: &Document, src_id: NodeId, dst_parent: NodeId) {
-        for child in src.children(src_id) {
-            let new_id = self.append_shared(dst_parent, Arc::clone(&src.node(child).data));
-            self.graft(src, child, new_id);
+        // Per open element of `src`: its next child to copy, and the copy
+        // that child goes under. A stack on the heap: documents nest as
+        // deep as their input says.
+        let mut open = vec![(src.node(src_id).first_child, dst_parent)];
+        while let Some((next, parent)) = open.last_mut() {
+            let Some(child) = *next else {
+                open.pop();
+                continue;
+            };
+            let node = src.node(child);
+            *next = node.next_sibling;
+            let parent = *parent;
+            let copy = self.append_shared(parent, Arc::clone(&node.data));
+            open.push((node.first_child, copy));
         }
     }
 

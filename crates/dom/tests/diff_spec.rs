@@ -6,9 +6,18 @@
 //! to different strings. That definition lives here as the oracle, and
 //! a property test holds the implementation to it over document pairs made
 //! from a small HTML grammar and the mutations a crawled page undergoes.
+//!
+//! The same grammar pins the other way a crawled page is refilled: from a
+//! fragment parsed earlier (`set_inner_fragment`) instead of from its text
+//! (`set_inner_html`). The two must be indistinguishable, node id for node
+//! id.
+//!
+//! Case counts are bounded for tier-1; `PROPTEST_CASES` raises them in CI.
 
 use ajax_dom::events::describe_element;
-use ajax_dom::{changed_roots, fnv64_str, ChangedTarget, Document, NodeData, NodeId};
+use ajax_dom::{
+    changed_roots, fnv64_str, parse_document, ChangedTarget, Document, NodeData, NodeId,
+};
 use proptest::prelude::*;
 
 // ---- the oracle ----------------------------------------------------------
@@ -328,8 +337,66 @@ fn check_hash_identities(doc: &Document) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+fn cases() -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(512);
+    ProptestConfig::with_cases(cases)
+}
+
+/// Everything a crawl reads off a document: which nodes are live under
+/// which ids, the markup, and the normalized text with every subtree's span.
+fn check_indistinguishable(a: &Document, b: &Document) -> Result<(), TestCaseError> {
+    let ids: Vec<NodeId> = a.walk_all().collect();
+    prop_assert_eq!(&ids, &b.walk_all().collect::<Vec<_>>());
+    for &id in &ids {
+        prop_assert_eq!(&a.node(id).data, &b.node(id).data);
+        prop_assert_eq!(a.node(id).parent, b.node(id).parent);
+    }
+    prop_assert_eq!(a.to_html(), b.to_html());
+    let (va, vb) = (a.normalized_view(), b.normalized_view());
+    prop_assert_eq!(va.text(), vb.text());
+    prop_assert_eq!(va.hash(), vb.hash());
+    for &id in &ids {
+        prop_assert_eq!(va.subtree(id), vb.subtree(id));
+    }
+    Ok(())
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(cases())]
+
+    #[test]
+    fn refill_from_a_parsed_fragment_equals_refill_from_its_text(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        let mut from_text = build(&gen_forest(&mut rng, 3));
+        let elements: Vec<NodeId> = from_text.walk().collect();
+        prop_assume!(!elements.is_empty());
+        let mut from_parse = from_text.clone();
+
+        // Two texts, each parsed once, assigned again and again (the
+        // second and later uses are what a per-page memo hit is), to one
+        // node and then to others, which may sit inside an earlier refill.
+        let texts: Vec<String> =
+            (0..2).map(|_| build(&gen_forest(&mut rng, 2)).to_html()).collect();
+        let parsed: Vec<Document> = texts.iter().map(|t| parse_document(t)).collect();
+        let mut target = elements[rng.below(elements.len())];
+        for round in 0..5 {
+            let which = if round < 2 { round } else { rng.below(2) };
+            from_text.set_inner_html(target, &texts[which]);
+            from_parse.set_inner_fragment(target, &parsed[which]);
+            check_indistinguishable(&from_text, &from_parse)?;
+            prop_assert_eq!(
+                from_text.get_element_by_id("a"),
+                from_parse.get_element_by_id("a")
+            );
+            if rng.below(2) == 0 {
+                let live: Vec<NodeId> = from_text.walk().collect();
+                target = live[rng.below(live.len())];
+            }
+        }
+    }
 
     #[test]
     fn changed_roots_equals_the_brute_force_oracle(seed in any::<u64>()) {

@@ -161,7 +161,16 @@ impl Interpreter {
         host: &mut dyn Host,
         hook: &mut dyn DebugHook,
     ) -> Result<(), JsError> {
-        let program = parse_program(src)?;
+        self.run_program(&parse_program(src)?, host, hook)
+    }
+
+    /// [`Self::load_program`] for a script the caller has already parsed.
+    pub fn run_program(
+        &mut self,
+        program: &Program,
+        host: &mut dyn Host,
+        hook: &mut dyn DebugHook,
+    ) -> Result<(), JsError> {
         let mut run = Run { host, hook };
         // Hoist all function declarations (including nested-in-blocks ones at
         // the top level) before executing statements.

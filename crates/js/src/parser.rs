@@ -5,10 +5,26 @@ use crate::error::{JsError, JsErrorKind};
 use crate::lexer::{lex, Keyword, Punct, Token, TokenKind};
 use std::rc::Rc;
 
+/// How deep a program may nest: the bound on the parser's own recursion
+/// (blocks, function bodies, parentheses, literals, unary and assignment
+/// chains) and on the height of every expression tree it returns, chains of
+/// binary operators and member accesses included — the interpreter and the
+/// static analyses recurse once per level. Deeper input is a syntax error.
+///
+/// One level of parentheses costs the parser about 4 KiB of stack in a
+/// release build and 20 KiB in a debug build; 64 levels fit the 2 MiB of a
+/// crawl worker (and of a test thread) with room to spare.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a full program (script body or event-handler snippet).
 pub fn parse_program(src: &str) -> Result<Program, JsError> {
     let tokens = lex(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        height: 0,
+    };
     let mut body = Vec::new();
     while !parser.at_eof() {
         body.push(parser.statement()?);
@@ -19,6 +35,10 @@ pub fn parse_program(src: &str) -> Result<Program, JsError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Recursion depth: statements and expressions being parsed right now.
+    depth: usize,
+    /// Height of the expression tree parsed last (a leaf is 1).
+    height: usize,
 }
 
 impl Parser {
@@ -83,9 +103,55 @@ impl Parser {
         }
     }
 
+    fn too_deep(&self) -> JsError {
+        JsError::at(
+            JsErrorKind::Parse,
+            format!("nesting deeper than {MAX_NESTING} levels"),
+            self.line(),
+        )
+    }
+
+    /// Runs one recursive production a level further down. An error leaves
+    /// `depth` as it is: the parse is over.
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> Result<T, JsError>) -> Result<T, JsError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let parsed = parse(self)?;
+        self.depth -= 1;
+        Ok(parsed)
+    }
+
+    /// Accounts for an expression node whose tallest child has height
+    /// `child`.
+    fn grow(&mut self, child: usize) -> Result<(), JsError> {
+        self.height = child + 1;
+        if self.height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    /// Parses the right operand of a binary node whose left operand was
+    /// parsed last, and accounts for the node.
+    fn right_operand(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr, JsError>,
+    ) -> Result<Expr, JsError> {
+        let lhs_height = self.height;
+        let rhs = operand(self)?;
+        self.grow(lhs_height.max(self.height))?;
+        Ok(rhs)
+    }
+
     // ---- statements ------------------------------------------------------
 
     fn statement(&mut self) -> Result<Stmt, JsError> {
+        self.nested(Self::statement_body)
+    }
+
+    fn statement_body(&mut self) -> Result<Stmt, JsError> {
         let line = self.line();
         match self.peek().clone() {
             TokenKind::Punct(Punct::Semi) => {
@@ -265,6 +331,10 @@ impl Parser {
     }
 
     fn assignment(&mut self) -> Result<Expr, JsError> {
+        self.nested(Self::assignment_body)
+    }
+
+    fn assignment_body(&mut self) -> Result<Expr, JsError> {
         let lhs = self.ternary()?;
         let op = match self.peek() {
             TokenKind::Punct(Punct::Assign) => Some(AssignOp::Assign),
@@ -277,7 +347,7 @@ impl Parser {
         if let Some(op) = op {
             let line = self.line();
             self.advance();
-            let value = self.assignment()?;
+            let value = self.right_operand(Self::assignment)?;
             let target = match lhs {
                 Expr::Ident { name, .. } => AssignTarget::Ident(name),
                 Expr::Member { object, prop } => AssignTarget::Member { object, prop },
@@ -302,9 +372,12 @@ impl Parser {
     fn ternary(&mut self) -> Result<Expr, JsError> {
         let cond = self.logical_or()?;
         if self.eat_punct(Punct::Question) {
+            let mut tallest = self.height;
             let then_expr = self.assignment()?;
+            tallest = tallest.max(self.height);
             self.expect_punct(Punct::Colon)?;
             let else_expr = self.assignment()?;
+            self.grow(tallest.max(self.height))?;
             return Ok(Expr::Ternary {
                 cond: Box::new(cond),
                 then_expr: Box::new(then_expr),
@@ -317,7 +390,7 @@ impl Parser {
     fn logical_or(&mut self) -> Result<Expr, JsError> {
         let mut lhs = self.logical_and()?;
         while self.eat_punct(Punct::OrOr) {
-            let rhs = self.logical_and()?;
+            let rhs = self.right_operand(Self::logical_and)?;
             lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
@@ -326,7 +399,7 @@ impl Parser {
     fn logical_and(&mut self) -> Result<Expr, JsError> {
         let mut lhs = self.equality()?;
         while self.eat_punct(Punct::AndAnd) {
-            let rhs = self.equality()?;
+            let rhs = self.right_operand(Self::equality)?;
             lhs = Expr::And(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
@@ -343,7 +416,7 @@ impl Parser {
                 _ => break,
             };
             self.advance();
-            let rhs = self.comparison()?;
+            let rhs = self.right_operand(Self::comparison)?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -364,7 +437,7 @@ impl Parser {
                 _ => break,
             };
             self.advance();
-            let rhs = self.additive()?;
+            let rhs = self.right_operand(Self::additive)?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -383,7 +456,7 @@ impl Parser {
                 _ => break,
             };
             self.advance();
-            let rhs = self.multiplicative()?;
+            let rhs = self.right_operand(Self::multiplicative)?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -403,7 +476,7 @@ impl Parser {
                 _ => break,
             };
             self.advance();
-            let rhs = self.unary()?;
+            let rhs = self.right_operand(Self::unary)?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -415,14 +488,16 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr, JsError> {
         if self.eat_punct(Punct::Minus) {
-            let expr = self.unary()?;
+            let expr = self.nested(Self::unary)?;
+            self.grow(self.height)?;
             return Ok(Expr::Unary {
                 op: UnOp::Neg,
                 expr: Box::new(expr),
             });
         }
         if self.eat_punct(Punct::Not) {
-            let expr = self.unary()?;
+            let expr = self.nested(Self::unary)?;
+            self.grow(self.height)?;
             return Ok(Expr::Unary {
                 op: UnOp::Not,
                 expr: Box::new(expr),
@@ -431,7 +506,8 @@ impl Parser {
         if self.eat_punct(Punct::Plus) {
             // Unary plus: numeric coercion; parse as 0 + expr is wrong for
             // strings, so keep a dedicated Neg(Neg(x))-free representation:
-            let expr = self.unary()?;
+            let expr = self.nested(Self::unary)?;
+            self.grow(self.height + 1)?;
             return Ok(Expr::Unary {
                 op: UnOp::Neg,
                 expr: Box::new(Expr::Unary {
@@ -441,7 +517,8 @@ impl Parser {
             });
         }
         if self.eat_keyword(Keyword::Typeof) {
-            let expr = self.unary()?;
+            let expr = self.nested(Self::unary)?;
+            self.grow(self.height)?;
             return Ok(Expr::Unary {
                 op: UnOp::Typeof,
                 expr: Box::new(expr),
@@ -453,8 +530,10 @@ impl Parser {
     fn postfix(&mut self) -> Result<Expr, JsError> {
         let mut expr = self.primary()?;
         loop {
+            // Each round wraps `expr`, whose height is `self.height`.
+            let object_height = self.height;
             if self.eat_punct(Punct::LBracket) {
-                let index = self.expression()?;
+                let index = self.right_operand(Self::expression)?;
                 self.expect_punct(Punct::RBracket)?;
                 expr = Expr::Index {
                     object: Box::new(expr),
@@ -468,6 +547,7 @@ impl Parser {
                     let line = self.line();
                     self.advance();
                     let args = self.call_args()?;
+                    self.grow(object_height.max(self.height))?;
                     expr = Expr::MethodCall {
                         object: Box::new(expr),
                         method: prop,
@@ -475,6 +555,7 @@ impl Parser {
                         line,
                     };
                 } else {
+                    self.grow(object_height)?;
                     expr = Expr::Member {
                         object: Box::new(expr),
                         prop,
@@ -503,6 +584,7 @@ impl Parser {
                         ))
                     }
                 };
+                self.grow(object_height)?;
                 expr = Expr::PostIncDec { target, inc };
                 continue;
             }
@@ -511,23 +593,28 @@ impl Parser {
         Ok(expr)
     }
 
+    /// The arguments of a call whose `(` is consumed; leaves the height of
+    /// the tallest one (0 for none) in `self.height`.
     fn call_args(&mut self) -> Result<Vec<Expr>, JsError> {
         let mut args = Vec::new();
-        if self.eat_punct(Punct::RParen) {
-            return Ok(args);
-        }
-        loop {
-            args.push(self.expression()?);
-            if !self.eat_punct(Punct::Comma) {
-                break;
+        let mut tallest = 0;
+        if !self.eat_punct(Punct::RParen) {
+            loop {
+                args.push(self.expression()?);
+                tallest = tallest.max(self.height);
+                if !self.eat_punct(Punct::Comma) {
+                    break;
+                }
             }
+            self.expect_punct(Punct::RParen)?;
         }
-        self.expect_punct(Punct::RParen)?;
+        self.height = tallest;
         Ok(args)
     }
 
     fn primary(&mut self) -> Result<Expr, JsError> {
         let line = self.line();
+        self.height = 1; // A leaf, unless an arm below says otherwise.
         match self.advance() {
             TokenKind::Num(n) => Ok(Expr::Num(n)),
             TokenKind::Str(s) => Ok(Expr::Str(s.into())),
@@ -538,7 +625,9 @@ impl Parser {
             TokenKind::Keyword(Keyword::New) => {
                 let class = self.expect_ident()?;
                 let args = if self.eat_punct(Punct::LParen) {
-                    self.call_args()?
+                    let args = self.call_args()?;
+                    self.grow(self.height)?;
+                    args
                 } else {
                     Vec::new()
                 };
@@ -551,19 +640,23 @@ impl Parser {
             }
             TokenKind::Punct(Punct::LBracket) => {
                 let mut items = Vec::new();
+                let mut tallest = 0;
                 if !self.eat_punct(Punct::RBracket) {
                     loop {
                         items.push(self.expression()?);
+                        tallest = tallest.max(self.height);
                         if !self.eat_punct(Punct::Comma) {
                             break;
                         }
                     }
                     self.expect_punct(Punct::RBracket)?;
                 }
+                self.grow(tallest)?;
                 Ok(Expr::ArrayLit(items))
             }
             TokenKind::Punct(Punct::LBrace) => {
                 let mut entries = Vec::new();
+                let mut tallest = 0;
                 if !self.eat_punct(Punct::RBrace) {
                     loop {
                         let key = match self.advance() {
@@ -580,6 +673,7 @@ impl Parser {
                         };
                         self.expect_punct(Punct::Colon)?;
                         let value = self.expression()?;
+                        tallest = tallest.max(self.height);
                         entries.push((key, value));
                         if !self.eat_punct(Punct::Comma) {
                             break;
@@ -587,12 +681,14 @@ impl Parser {
                     }
                     self.expect_punct(Punct::RBrace)?;
                 }
+                self.grow(tallest)?;
                 Ok(Expr::ObjectLit(entries))
             }
             TokenKind::Ident(name) => {
                 if self.peek() == &TokenKind::Punct(Punct::LParen) {
                     self.advance();
                     let args = self.call_args()?;
+                    self.grow(self.height)?;
                     Ok(Expr::Call {
                         callee: name,
                         args,
@@ -729,6 +825,85 @@ mod tests {
                 inc: true
             })
         ));
+    }
+
+    /// `open`, repeated `n` times around a `1`, closed by `close`.
+    fn nest(open: &str, n: usize, close: &str) -> String {
+        format!("{}1{}", open.repeat(n), close.repeat(n))
+    }
+
+    fn too_deep(src: &str) -> bool {
+        match parse_program(src) {
+            Ok(_) => false,
+            Err(e) => {
+                assert_eq!(e.kind, JsErrorKind::Parse, "{e}");
+                assert!(e.message.contains("nesting deeper"), "{e}");
+                true
+            }
+        }
+    }
+
+    #[test]
+    fn runaway_nesting_is_a_syntax_error_not_a_stack_overflow() {
+        for (open, close) in [
+            ("(", ")"),
+            ("[", "]"),
+            ("{a:", "}"),
+            ("f(", ")"),
+            ("- ", ""),
+            ("!", ""),
+            ("typeof ", ""),
+            ("x = ", ""),
+            ("1 ? 1 : ", ""),
+            ("1 + ", ""),
+            ("1 && ", ""),
+            ("x[", "]"),
+        ] {
+            let src = format!("var x = {};", nest(open, 20_000, close));
+            assert!(too_deep(&src), "{open}…{close}");
+            // A few levels of the same construct are ordinary code.
+            let src = format!("var x = {};", nest(open, 8, close));
+            assert!(parse_program(&src).is_ok(), "{open}…{close}");
+        }
+        for (open, close) in [
+            ("{", "}"),
+            ("function f() {", "}"),
+            ("if (a) {", "}"),
+            ("if (a) b(); else ", ""),
+            ("while (a) ", ""),
+            ("for (;;) ", ""),
+        ] {
+            let body = |n: usize| format!("{}x = 1;{}", open.repeat(n), close.repeat(n));
+            assert!(too_deep(&body(20_000)), "{open}…{close}");
+            assert!(parse_program(&body(8)).is_ok(), "{open}…{close}");
+        }
+        assert!(too_deep(&format!("x{};", ".y".repeat(20_000))));
+        assert!(too_deep(&format!("x{};", ".y()".repeat(20_000))));
+        assert!(too_deep(&format!("x{};", "[0]".repeat(20_000))));
+    }
+
+    #[test]
+    fn the_bound_is_on_tree_height_exactly() {
+        // `1+1+…+1` with n terms is a left-deep tree of height n.
+        let sum = |terms: usize| format!("1{}", "+1".repeat(terms - 1));
+        assert!(parse_program(&sum(MAX_NESTING)).is_ok());
+        assert!(too_deep(&sum(MAX_NESTING + 1)));
+        // A chain keeps its height when it becomes an operand, an argument,
+        // an element or an index of something else.
+        for (open, close) in [
+            ("f(", ")"),
+            ("[", "]"),
+            ("-(", ")"),
+            ("a[", "]"),
+            ("2*(", ")"),
+        ] {
+            let wrap = |terms: usize| format!("{open}{}{close}", sum(terms));
+            assert!(parse_program(&wrap(MAX_NESTING - 1)).is_ok(), "{open}");
+            assert!(too_deep(&wrap(MAX_NESTING)), "{open}");
+        }
+        // Siblings do not add up: only the tallest child counts.
+        let wide = format!("f({})", vec![sum(MAX_NESTING - 1); 40].join(", "));
+        assert!(parse_program(&wide).is_ok());
     }
 
     #[test]

@@ -43,8 +43,24 @@ pub struct Rendezvous {
 }
 
 struct Slots {
+    /// The outcomes, until the caller takes them.
     replies: Vec<Option<ShardOutcome>>,
-    arrived: usize,
+    /// Per shard, whether its outcome was delivered; stays when `replies`
+    /// is taken.
+    arrived: Vec<bool>,
+    /// The caller took `replies` and left: nothing more is awaited.
+    taken: bool,
+}
+
+impl Slots {
+    fn all_arrived(&self) -> bool {
+        self.arrived.iter().all(|arrived| *arrived)
+    }
+
+    fn take(&mut self) -> Vec<Option<ShardOutcome>> {
+        self.taken = true;
+        std::mem::take(&mut self.replies)
+    }
 }
 
 impl Rendezvous {
@@ -53,7 +69,8 @@ impl Rendezvous {
         Self {
             slots: Mutex::new(Slots {
                 replies: (0..shards).map(|_| None).collect(),
-                arrived: 0,
+                arrived: vec![false; shards],
+                taken: false,
             }),
             arrived_cv: Condvar::new(),
         }
@@ -65,21 +82,27 @@ impl Rendezvous {
     /// delivering thread.
     pub fn deliver(&self, shard: usize, outcome: ShardOutcome) {
         let mut slots = self.slots.lock().unwrap();
-        let Slots { replies, arrived } = &mut *slots;
+        let Slots {
+            replies, arrived, ..
+        } = &mut *slots;
         if let Some(slot) = replies.get_mut(shard) {
             if slot.is_none() {
                 *slot = Some(outcome);
-                *arrived += 1;
+                arrived[shard] = true;
             }
         }
         self.arrived_cv.notify_all();
     }
 
-    /// True when `shard`'s slot is already filled (hedging probes this
-    /// before re-issuing a request).
+    /// True when nothing more is wanted from `shard`: its outcome was
+    /// delivered, or the caller has already left with what had arrived
+    /// (hedging probes this before re-issuing a request).
     pub fn arrived(&self, shard: usize) -> bool {
         let slots = self.slots.lock().unwrap();
-        slots.replies.get(shard).is_some_and(Option::is_some)
+        slots
+            .arrived
+            .get(shard)
+            .is_some_and(|arrived| *arrived || slots.taken)
     }
 
     /// Blocks until every shard has delivered, then takes the outcomes.
@@ -87,10 +110,10 @@ impl Rendezvous {
     /// guarantees a delivery per shard (possibly `TimedOut`/`Failed`).
     pub fn wait_all(&self) -> Vec<Option<ShardOutcome>> {
         let mut slots = self.slots.lock().unwrap();
-        while slots.arrived < slots.replies.len() {
+        while !slots.all_arrived() {
             slots = self.arrived_cv.wait(slots).unwrap();
         }
-        std::mem::take(&mut slots.replies)
+        slots.take()
     }
 
     /// Blocks until every shard has delivered or `now()` reaches `deadline`,
@@ -102,7 +125,7 @@ impl Rendezvous {
         deadline: Micros,
     ) -> Vec<Option<ShardOutcome>> {
         let mut slots = self.slots.lock().unwrap();
-        while slots.arrived < slots.replies.len() {
+        while !slots.all_arrived() {
             let t = now();
             if t >= deadline {
                 break;
@@ -111,7 +134,7 @@ impl Rendezvous {
             let (guard, _timeout) = self.arrived_cv.wait_timeout(slots, wait).unwrap();
             slots = guard;
         }
-        std::mem::take(&mut slots.replies)
+        slots.take()
     }
 }
 
@@ -224,5 +247,25 @@ mod tests {
         assert!(state.arrived(1));
         assert!(!state.arrived(0));
         assert!(!state.arrived(7), "out-of-range probe is just false");
+    }
+
+    #[test]
+    fn arrived_outlives_the_taking_of_the_replies() {
+        // A hedge timer firing after the query completed must read the
+        // request as finished, not as never answered.
+        let state = Rendezvous::new(2);
+        state.deliver(0, ShardOutcome::Failed);
+        state.deliver(1, ShardOutcome::TimedOut);
+        assert_eq!(state.wait_all().len(), 2);
+        assert!(state.arrived(0) && state.arrived(1));
+
+        // Likewise after a deadline abandonment: the caller is gone, so
+        // the silent shard is not worth a second request either.
+        let state = Rendezvous::new(2);
+        state.deliver(0, ShardOutcome::Failed);
+        let taken = state.wait_until(|| 1, 0);
+        assert!(taken[1].is_none());
+        assert!(state.arrived(0) && state.arrived(1));
+        assert!(!state.arrived(7));
     }
 }

@@ -182,6 +182,36 @@ fn hedging_under_slow_shard_preserves_results() {
     cluster.shutdown();
 }
 
+/// A hedge timer that fires after its query completed must find the
+/// request finished and ship nothing (the probe used to read the emptied
+/// reply slots as "never answered" and re-issue every request).
+#[test]
+fn hedge_timer_after_completion_ships_nothing() {
+    let hedge_after = std::time::Duration::from_millis(400);
+    let mut cluster = launch(
+        2,
+        ClusterConfig {
+            serve: ServeConfig::default().with_cache_capacity(0),
+            hedge_after_micros: Some(hedge_after.as_micros() as u64),
+            ..ClusterConfig::default()
+        },
+    );
+    let started = std::time::Instant::now();
+    for q in query_phrases().iter().take(5) {
+        let got = cluster.server.search(q).expect("coordinator admitted");
+        assert!(!got.degraded);
+    }
+    // Every query was over before its timer: loopback round trips take
+    // about a millisecond. (Should a stalled machine break that, a hedge
+    // is legitimate and the check below says nothing.)
+    let all_done_early = started.elapsed() < hedge_after;
+    std::thread::sleep(hedge_after + std::time::Duration::from_millis(200));
+    if all_done_early {
+        assert_eq!(cluster.hedges_fired(), 0, "finished requests re-issued");
+    }
+    cluster.shutdown();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -195,3 +195,36 @@ fn dead_urls_quarantined_after_k_attempts() {
         report.quarantined_pages + report.permanent_failures()
     );
 }
+
+/// A 40 KB script nested 20 000 levels deep used to overflow the stack of
+/// whatever thread parsed it and abort the process. It is a syntax error
+/// like any other: counted, and the rest of the page crawled.
+#[test]
+fn runaway_script_nesting_is_a_script_error_not_an_abort() {
+    use ajax_net::server::{FnServer, Request, Response};
+
+    for (open, close) in [("(", ")"), ("[", "]"), ("{a:", "}"), ("- ", "")] {
+        let bomb = format!("var x = {}1{};", open.repeat(20_000), close.repeat(20_000));
+        let page = format!(
+            "<html><head><script>{bomb}</script><script>\
+             function fill() {{ document.getElementById('box').innerHTML = 'filled'; }}\
+             </script></head><body>\
+             <div id=\"box\" onclick=\"fill()\">empty</div>\
+             </body></html>"
+        );
+        let server: Arc<dyn Server> = Arc::new(FnServer(move |req: &Request| {
+            if req.url.path == "/page" {
+                Response::html(page.clone())
+            } else {
+                Response::not_found()
+            }
+        }));
+        let mut crawler = Crawler::new(server, LatencyModel::Zero, CrawlConfig::ajax());
+        let crawl = crawler
+            .crawl_page(&Url::parse("http://x/page"))
+            .expect("the page itself is fine");
+        assert_eq!(crawl.stats.script_errors, 1, "{open}");
+        assert_eq!(crawl.stats.js_errors, 1, "{open}");
+        assert_eq!(crawl.model.state_count(), 2, "the sane script still ran");
+    }
+}

@@ -115,6 +115,55 @@ fn virtual_clock_matches_recorded_constants() {
     assert_eq!(clock(&gallery()), GALLERY_CLOCK, "gallery");
 }
 
+/// `(pruned_events, equiv_pruned_events, commute_pruned_events, duplicates)`
+/// per crawled page: which planner rule claimed how many events.
+fn claims(pages: &[PageCrawl]) -> Vec<(u64, u64, u64, u64)> {
+    pages
+        .iter()
+        .map(|p| {
+            let s = &p.stats;
+            (
+                s.pruned_events,
+                s.equiv_pruned_events,
+                s.commute_pruned_events,
+                s.duplicates,
+            )
+        })
+        .collect()
+}
+
+/// Recorded at the commit before the planner moved to dense ids: the
+/// purity, equivalence and commutativity rules must each keep claiming
+/// exactly the events they claimed when handlers were keyed by source.
+#[test]
+fn planner_claims_match_recorded_constants() {
+    assert_eq!(claims(&vidshare()), VIDSHARE_CLAIMS, "vidshare");
+    assert_eq!(claims(&newsshare()), NEWS_CLAIMS, "newsshare");
+    assert_eq!(claims(&gallery()), GALLERY_CLAIMS, "gallery");
+}
+
+/// Every equivalence/commutativity claim on the Gallery pages, fired
+/// anyway: none of them changes the state.
+#[test]
+fn gallery_claims_verify_with_zero_mismatches() {
+    let spec = GallerySpec::small(6);
+    let urls: Vec<String> = (0..3).map(|a| spec.page_url(a)).collect();
+    let verified = crawl(
+        Arc::new(GalleryServer::new(spec)),
+        &urls,
+        CrawlConfig::ajax().verifying_equiv(),
+    );
+    for (page, pruned) in verified.iter().zip(gallery()) {
+        assert_eq!(page.stats.equiv_mismatches, 0);
+        assert_eq!(page.stats.prune_mismatches, 0);
+        assert_eq!(
+            page.model.graph_signature(),
+            pruned.model.graph_signature(),
+            "pruning must not change the model"
+        );
+    }
+}
+
 const NEWS_TARGETS: &[(&[&str], usize)] = &[(&["div#top_stories"], 24), (&["div.panel"], 36)];
 const GALLERY_TARGETS: &[(&[&str], usize)] = &[(&["div#hero"], 18)];
 const VIDSHARE_CLOCK: &[(u64, u64, u64, u64)] = &[
@@ -129,3 +178,7 @@ const GALLERY_CLOCK: &[(u64, u64, u64, u64)] = &[
     (165279, 140279, 7, 4),
     (165702, 140702, 7, 4),
 ];
+const VIDSHARE_CLAIMS: &[(u64, u64, u64, u64)] =
+    &[(3, 0, 0, 7), (5, 0, 0, 15), (7, 0, 0, 23), (3, 0, 0, 7)];
+const NEWS_CLAIMS: &[(u64, u64, u64, u64)] = &[(0, 0, 0, 22), (0, 0, 0, 22)];
+const GALLERY_CLAIMS: &[(u64, u64, u64, u64)] = &[(0, 13, 42, 3), (0, 13, 42, 3), (0, 13, 42, 3)];
