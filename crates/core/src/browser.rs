@@ -7,7 +7,7 @@ use crate::analysis::ParsedPage;
 use crate::crawler::{CpuCostModel, FetchFailure, LastError, RetryPolicy};
 use crate::hotnode::HotNodeCache;
 use ajax_dom::hash::FnvHashMap;
-use ajax_dom::{parse_document, Document, NodeId, NormalizedView};
+use ajax_dom::{Document, Fragment, NodeId, NormalizedView};
 use ajax_js::ast::Program;
 use ajax_js::{
     DebugHook, GlobalsSnapshot, Host, HostCtx, Interpreter, JsError, NoopHook, ObjId, Value,
@@ -472,11 +472,12 @@ impl Host for PageHost<'_, '_> {
                 // maintenance is the thesis' main non-network cost, §7.2.3),
                 // charged per refill though a text is parsed once per page.
                 self.env.charge_cpu(self.env.costs.parse_cost(html.len()));
+                // One hash of the text when it is known, as it mostly is.
                 let fragment = match self.fragments.get(html.as_str()) {
-                    Some(parsed) => Rc::clone(parsed),
+                    Some(parsed) => Arc::clone(parsed),
                     None => {
-                        let parsed = Rc::new(parse_document(&html));
-                        self.fragments.insert(html.into(), Rc::clone(&parsed));
+                        let parsed = Arc::new(Fragment::parse(&html));
+                        self.fragments.insert(html.into(), Arc::clone(&parsed));
                         parsed
                     }
                 };
@@ -489,11 +490,13 @@ impl Host for PageHost<'_, '_> {
     }
 }
 
-/// The `innerHTML` texts a page has assigned so far, parsed. A crawl
-/// assigns few distinct texts many times over (a placeholder, the same
-/// cached response after every rollback); refilling from the parse shares
-/// its payloads instead of tokenizing again. Lives and dies with the page.
-type FragmentMemo = HashMap<Box<str>, Rc<Document>>;
+/// The `innerHTML` texts a page has assigned so far, parsed and
+/// normalized. A crawl assigns few distinct texts many times over (a
+/// placeholder, the same cached response after every rollback); refilling
+/// from the parse shares its payloads instead of tokenizing again, and the
+/// page's next view copies the fragment's normalized text instead of
+/// walking the new nodes. Lives and dies with the page.
+type FragmentMemo = HashMap<Box<str>, Arc<Fragment>>;
 
 /// A snapshot of the browser: DOM + JS globals, plus the normalized view
 /// the state was hashed from. Cloned per discovered state and restored
@@ -522,9 +525,11 @@ pub struct Browser {
     url: Url,
     doc: Document,
     interp: Interpreter,
-    /// The normalized view of `doc`, while it is known to be current:
-    /// set by [`Self::state_hash`] and [`Self::restore`], dropped by
-    /// whatever may mutate the page (running JS, [`Self::doc_mut`]).
+    /// The normalized view `doc` had when its mutation log was last
+    /// started: set by [`Self::view`] and [`Self::restore`]. What scripts
+    /// do to the page since is in the log, and the next view is this one
+    /// with those changes spliced in; [`Self::doc_mut`] hands the document
+    /// out and drops it.
     view: Option<Rc<NormalizedView>>,
     fragments: FragmentMemo,
 }
@@ -631,7 +636,6 @@ impl Browser {
         env: &mut CrawlEnv<'_>,
         outcome: &mut EventOutcome,
     ) -> Result<(), JsError> {
-        self.view = None;
         let steps_before = self.interp.steps();
         // The on-enter hot-node detector (§4.4.2): instrumentation that
         // recognizes frames whose function is a known hot node.
@@ -648,30 +652,33 @@ impl Browser {
     }
 
     /// Snapshots the browser (DOM + JS globals) for later rollback. The
-    /// snapshot keeps the view [`Self::state_hash`] built, so diffing
+    /// snapshot keeps the view of the page as it stands, so diffing
     /// against it later serializes nothing.
     pub fn snapshot(&mut self) -> BrowserSnapshot {
         // Index the live page first: the snapshot, its restores and the
         // page itself (whose first restore keeps its DOM) then share one.
         self.doc.ensure_id_index();
+        let view = self.view();
         BrowserSnapshot {
             doc: self.doc.clone(),
-            view: self.view(),
+            view,
             globals: self.interp.snapshot_globals(),
         }
     }
 
     /// Restores a snapshot taken earlier on this page.
     pub fn restore(&mut self, snapshot: &BrowserSnapshot) {
-        // Holding the snapshot's own view means nothing ran since this
-        // snapshot was taken or last restored: the DOM already equals it.
-        // The globals are copied back regardless — a snapshot holds each
-        // global as its own deep copy, so restoring also unshares objects
-        // that two globals of the live page still alias.
-        let dom_intact = self
-            .view
-            .as_ref()
-            .is_some_and(|view| Rc::ptr_eq(view, &snapshot.view));
+        // Holding the snapshot's own view with nothing logged since means
+        // nothing touched the page since this snapshot was taken or last
+        // restored: the DOM already equals it. The globals are copied back
+        // regardless — a snapshot holds each global as its own deep copy,
+        // so restoring also unshares objects that two globals of the live
+        // page still alias.
+        let dom_intact = !self.doc.changed_since_view()
+            && self
+                .view
+                .as_ref()
+                .is_some_and(|view| Rc::ptr_eq(view, &snapshot.view));
         if !dom_intact {
             self.doc = snapshot.doc.clone();
             self.view = Some(Rc::clone(&snapshot.view));
@@ -679,24 +686,32 @@ impl Browser {
         self.interp.restore_globals(&snapshot.globals);
     }
 
-    /// Content hash of the current DOM (duplicate-state identity). The one
-    /// normalization of a fired event: [`Self::view`] and a following
-    /// [`Self::snapshot`] reuse what is built here.
+    /// Content hash of the current DOM: FNV-64 of [`Self::normalize`]'s
+    /// text, the name the state is stored under.
     pub fn state_hash(&mut self, env: &mut CrawlEnv<'_>) -> u64 {
-        let view = self.view();
-        env.charge_cpu(env.costs.hash_cost(view.text().len()));
-        let hash = view.hash();
-        self.view = Some(view);
-        hash
+        self.normalize(env).hash()
     }
 
-    /// The normalized view of the current DOM, as left by
-    /// [`Self::state_hash`] or [`Self::restore`] when the page has not run
-    /// anything since, built now otherwise.
-    pub fn view(&self) -> Rc<NormalizedView> {
+    /// The one normalization of a fired event, charged as hashing the
+    /// state: [`Self::view`], which a following [`Self::snapshot`] reuses.
+    pub fn normalize(&mut self, env: &mut CrawlEnv<'_>) -> Rc<NormalizedView> {
+        let view = self.view();
+        env.charge_cpu(env.costs.hash_cost(view.text().len()));
+        view
+    }
+
+    /// The normalized view of the current DOM: the one held, when nothing
+    /// touched the page since it was taken; otherwise that one with what
+    /// the page's mutation log names spliced in (a full walk the first
+    /// time, and after [`Self::doc_mut`]).
+    pub fn view(&mut self) -> Rc<NormalizedView> {
         match &self.view {
-            Some(view) => Rc::clone(view),
-            None => Rc::new(self.doc.normalized_view()),
+            Some(view) if !self.doc.changed_since_view() => Rc::clone(view),
+            base => {
+                let view = Rc::new(self.doc.take_view(base.as_deref()));
+                self.view = Some(Rc::clone(&view));
+                view
+            }
         }
     }
 }

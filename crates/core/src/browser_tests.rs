@@ -154,17 +154,24 @@ fn one_view_serves_hash_snapshot_and_restore() {
         assert!(std::ptr::eq(snapshot.view(), &*hashed));
         assert!(std::ptr::eq(snapshot.view(), &*browser.view()));
 
-        // Running anything drops the live view: it may be stale, whether or
-        // not the handler touched the page.
+        // A handler that leaves the page alone leaves the view standing; one
+        // that refills a box gets a new view — the held one with the box
+        // spliced in, equal to a walk of the whole page.
         browser.fire_event("quiet()", env);
-        assert!(!std::ptr::eq(snapshot.view(), &*browser.view()));
+        assert!(std::ptr::eq(snapshot.view(), &*browser.view()));
         assert_eq!(browser.state_hash(env), hash);
+        browser.fire_event("fill('<b>two</b> three')", env);
+        assert!(!std::ptr::eq(snapshot.view(), &*browser.view()));
+        assert_eq!(*browser.view(), browser.doc().normalized_view());
+        assert_ne!(browser.state_hash(env), hash);
+        // Handing the document out forgets the view; the next is a walk.
+        let box_id = browser.doc_mut().get_element_by_id("box").unwrap();
+        browser.doc_mut().set_attr(box_id, "class", "x");
+        assert_eq!(*browser.view(), browser.doc().normalized_view());
 
         // Restore hands the snapshot's view back, so a restore with nothing
         // run in between has nothing to undo — and a real one undoes both
         // the DOM and the globals.
-        browser.fire_event("fill('two')", env);
-        assert_ne!(browser.state_hash(env), hash);
         browser.restore(&snapshot);
         assert!(std::ptr::eq(snapshot.view(), &*browser.view()));
         browser.restore(&snapshot);
@@ -203,6 +210,28 @@ fn every_restore_unshares_aliased_globals() {
             browser.fire_event("f()", env);
             assert_eq!(browser.doc().document_text().trim(), "0");
         }
+    });
+}
+
+#[test]
+fn restore_forgets_functions_declared_since_the_snapshot() {
+    // The function table is shared with the snapshot, not copied per
+    // restore; a handler that declares one gets a table of its own.
+    with_env(|env| {
+        let mut browser = load(
+            "<html><head><script>function old() { return 1; }</script></head>\
+             <body><div id=\"box\">-</div></body></html>",
+            env,
+        );
+        let snapshot = browser.snapshot();
+        let outcome = browser.fire_event("function late() { return 2; } late()", env);
+        assert_eq!(outcome.js_error, None);
+        assert!(browser.interp().has_function("late"));
+        browser.restore(&snapshot);
+        assert!(!browser.interp().has_function("late"));
+        assert!(browser.interp().has_function("old"));
+        assert!(browser.fire_event("late()", env).js_error.is_some());
+        assert_eq!(browser.fire_event("old()", env).js_error, None);
     });
 }
 

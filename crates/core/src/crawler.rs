@@ -1073,21 +1073,25 @@ impl Crawler {
                         return "partial";
                     }
 
-                    let new_hash = browser.state_hash(env);
-                    let changed = new_hash != model.states[state_id.index()].hash;
+                    // Duplicate detection (§3.2) on the normalized text
+                    // itself; only a state that is kept gets hashed.
+                    let view = browser.normalize(env);
+                    let texts = snapshots.iter().map(|s| s.view().text());
+                    let known = model.state_by_text(texts, view.text()).map(|s| s.id);
+                    let changed = known != Some(state_id);
                     new_history.record(&binding.source, binding.event_type, &binding.code, changed);
                     if !changed {
                         return "unchanged"; // DOM unchanged: no transition.
                     }
 
-                    let target = if let Some(existing) = model.state_by_hash(new_hash) {
+                    let target = if let Some(existing) = known {
                         stats.duplicates += 1;
-                        existing.id
+                        existing
                     } else if model.state_count() < config.max_states {
                         let text = browser.doc().document_text();
                         env.charge_cpu(config.costs.state_micros);
                         let dom_html = config.store_dom.then(|| browser.doc().to_html());
-                        let id = model.add_state(new_hash, text, dom_html);
+                        let id = model.add_state(view.hash(), text, dom_html);
                         snapshots.push(browser.snapshot());
                         if let (Some(ledger), Some(s)) = (&mut ledger, snippet) {
                             ledger.push_state(state_id.index(), s);
@@ -1109,7 +1113,7 @@ impl Crawler {
                         source.doc(),
                         source.view(),
                         browser.doc(),
-                        &browser.view(),
+                        &view,
                     )
                     .into_iter()
                     .map(|t| t.element)
@@ -1152,13 +1156,14 @@ impl Crawler {
     }
 }
 
-/// Case-insensitive ASCII substring test.
+/// Case-insensitive ASCII substring test (an empty needle is in nothing).
+/// Allocates nothing: the guards below run it per binding and pattern.
 fn contains_ignore_case(haystack: &str, needle: &str) -> bool {
-    if needle.is_empty() {
-        return false;
-    }
-    let haystack = haystack.to_ascii_lowercase();
-    haystack.contains(&needle.to_ascii_lowercase())
+    let (haystack, needle) = (haystack.as_bytes(), needle.as_bytes());
+    !needle.is_empty()
+        && haystack
+            .windows(needle.len())
+            .any(|window| window.eq_ignore_ascii_case(needle))
 }
 
 #[cfg(test)]
@@ -1459,6 +1464,28 @@ mod guard_and_recrawl_tests {
         // skipped once per state.
         assert_eq!(crawl.stats.events_skipped, 2);
         assert_eq!(crawl.model.state_count(), 2, "fetchMore still crawled");
+    }
+
+    #[test]
+    fn guard_patterns_match_in_any_case_anywhere() {
+        for (code, pattern, hit) in [
+            ("doDELETE(3)", "delete", true),
+            ("logout()", "LogOut", true),
+            ("del", "delete", false), // pattern longer than the code
+            ("remov e()", "remove", false),
+            ("anything", "", false), // an empty pattern guards nothing
+            ("", "", false),
+            // Bytes, not characters: a window may start inside one.
+            ("löschen('é') // DÉLETE delete", "delete", true),
+            ("naïve", "ïV", true),
+            ("日本語", "delete", false),
+        ] {
+            assert_eq!(
+                contains_ignore_case(code, pattern),
+                hit,
+                "{code:?} {pattern:?}"
+            );
+        }
     }
 
     #[test]

@@ -36,8 +36,9 @@ impl std::fmt::Display for StateId {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct State {
     pub id: StateId,
-    /// FNV-64 hash of the normalized DOM — the duplicate-detection identity
-    /// of §3.2.
+    /// FNV-64 hash of the normalized DOM: the name the state is stored
+    /// under (model files, the index, replay's divergence check). The
+    /// crawler tells states apart by the normalized DOM itself.
     pub hash: u64,
     /// Extracted text content (what the indexer consumes).
     pub text: String,
@@ -115,13 +116,23 @@ impl AppModel {
         self.states.get(id.index())
     }
 
-    /// Finds the state with content hash `hash` (duplicate detection).
-    pub fn state_by_hash(&self, hash: u64) -> Option<&State> {
-        self.states.iter().find(|s| s.hash == hash)
+    /// Duplicate detection (§3.2): the state whose normalized DOM is
+    /// exactly `text`, given the normalized DOM of every state in order
+    /// (the model stores only its hash; the crawler holds the texts).
+    /// Identity is the text. [`State::hash`] is the name a text is stored
+    /// under and is not consulted: two texts that collide under FNV stay
+    /// two states.
+    pub fn state_by_text<'t>(
+        &self,
+        texts: impl IntoIterator<Item = &'t str>,
+        text: &str,
+    ) -> Option<&State> {
+        let at = texts.into_iter().position(|known| known == text)?;
+        self.states.get(at)
     }
 
     /// Adds a state and returns its id. The caller must have checked for
-    /// duplicates via [`Self::state_by_hash`] first.
+    /// duplicates via [`Self::state_by_text`] first.
     pub fn add_state(&mut self, hash: u64, text: String, dom_html: Option<String>) -> StateId {
         let id = StateId(self.states.len() as u32);
         self.states.push(State {
@@ -297,10 +308,22 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_detection_by_hash() {
-        let m = model_with_chain();
-        assert!(m.state_by_hash(11).is_some());
-        assert!(m.state_by_hash(99).is_none());
+    fn duplicate_detection_by_text_whatever_the_hashes() {
+        // Stored hashes that lie: all three states carry the FNV of "<p>c</p>".
+        let mut m = model_with_chain();
+        let texts = ["<p>a</p>", "<p>b</p>", "<p>c</p>"];
+        for state in &mut m.states {
+            state.hash = ajax_dom::fnv64_str(texts[2]);
+        }
+        let found = |text: &str| m.state_by_text(texts, text).map(|s| s.id);
+        assert_eq!(found("<p>a</p>"), Some(StateId(0)));
+        assert_eq!(found("<p>c</p>"), Some(StateId(2)));
+        assert_eq!(found("<p>d</p>"), None, "a new text is a new state");
+        // A state the crawl has not kept a text for yet is not a match.
+        assert_eq!(
+            m.state_by_text(texts[..1].iter().copied(), "<p>b</p>"),
+            None
+        );
     }
 
     #[test]

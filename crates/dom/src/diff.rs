@@ -14,7 +14,7 @@
 //! * if exactly **one** child changed, descend for a more precise target;
 //! * attribute changes target the element carrying the attribute.
 
-use crate::dom::{Document, NodeData, NodeId};
+use crate::dom::{Document, Element, NodeData, NodeId};
 use crate::events::describe_element;
 use crate::serialize::NormalizedView;
 
@@ -132,8 +132,8 @@ fn diff_children(
     }
     // Otherwise the changed children are independent regions: handle each.
     for (a, b) in changed {
-        match (&*old.doc.node(a).data, &*new.doc.node(b).data) {
-            (NodeData::Element { attrs: x, .. }, NodeData::Element { attrs: y, .. }) => {
+        match (old.doc.data(a), new.doc.data(b)) {
+            (NodeData::Element(x), NodeData::Element(y)) => {
                 path.push(describe_element(new.doc, b));
                 if attributes_equal(x, y) {
                     diff_children(old, a, new, b, path, out);
@@ -149,8 +149,8 @@ fn diff_children(
 }
 
 fn same_kind(old: &Document, a: NodeId, new: &Document, b: NodeId) -> bool {
-    match (&*old.node(a).data, &*new.node(b).data) {
-        (NodeData::Element { name: n1, .. }, NodeData::Element { name: n2, .. }) => n1 == n2,
+    match (old.data(a), new.data(b)) {
+        (NodeData::Element(x), NodeData::Element(y)) => x.name() == y.name(),
         (NodeData::Text(_), NodeData::Text(_)) => true,
         (NodeData::Comment(_), NodeData::Comment(_)) => true,
         _ => false,
@@ -158,14 +158,14 @@ fn same_kind(old: &Document, a: NodeId, new: &Document, b: NodeId) -> bool {
 }
 
 /// Equal as multisets of `(name, value)` pairs: source order is not content.
-fn attributes_equal(x: &[(String, String)], y: &[(String, String)]) -> bool {
-    if x == y {
+fn attributes_equal(x: &Element, y: &Element) -> bool {
+    if x.attrs().eq(y.attrs()) {
         return true;
     }
-    let mut x: Vec<&(String, String)> = x.iter().collect();
-    let mut y: Vec<&(String, String)> = y.iter().collect();
-    x.sort();
-    y.sort();
+    let mut x: Vec<(&str, &str)> = x.attrs().collect();
+    let mut y: Vec<(&str, &str)> = y.attrs().collect();
+    x.sort_unstable();
+    y.sort_unstable();
     x == y
 }
 

@@ -2,6 +2,7 @@
 //! operations the crawler and the JS host need (`innerHTML`, text content,
 //! attribute access, lookup by id).
 
+use crate::atom::{Atom, Interner};
 use crate::hash::FnvHashMap;
 use crate::parser;
 use crate::serialize::{self, NormalizedView};
@@ -23,25 +24,112 @@ impl NodeId {
 pub enum NodeData {
     /// The synthetic document root (not serialized).
     Root,
-    /// An element with a lowercase tag name and its attributes in source
-    /// order. Attribute names are lowercase.
-    Element {
-        name: String,
-        attrs: Vec<(String, String)>,
-    },
+    /// An element: its tag and its attributes in source order.
+    Element(Element),
     /// A text node (entity-decoded).
     Text(String),
     /// A comment node.
     Comment(String),
 }
 
-/// One node of the arena. Children form a singly linked sibling chain, so
-/// a node owns no heap memory besides its (shared) payload.
+/// Tag and attributes of an element node. Names are lowercase and interned;
+/// the values sit back to back in one buffer, so an element costs two
+/// allocations when it has attributes and none when it has not.
 #[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Element {
+    name: Atom,
+    attrs: Box<[AttrSlot]>,
+    values: Box<str>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct AttrSlot {
+    name: Atom,
+    /// Where this attribute's value sits in `Element::values`.
+    value: std::ops::Range<u32>,
+}
+
+impl Element {
+    /// An element called `name` with `attrs` as `(name, value)` pairs in
+    /// source order; names are taken as they come (lowercase, from the
+    /// tokenizer) and interned through `names`.
+    pub(crate) fn new<'v>(
+        names: &mut Interner,
+        name: &str,
+        attrs: impl Iterator<Item = (&'v str, &'v str)> + Clone,
+    ) -> Self {
+        let values_len: usize = attrs.clone().map(|(_, value)| value.len()).sum();
+        let mut values = String::with_capacity(values_len);
+        let attrs: Vec<AttrSlot> = attrs
+            .map(|(name, value)| {
+                let start = values.len() as u32;
+                values.push_str(value);
+                AttrSlot {
+                    name: names.atom(name),
+                    value: start..u32::try_from(values.len()).expect("a tag's values under 4 GiB"),
+                }
+            })
+            .collect();
+        Self {
+            name: names.atom(name),
+            attrs: attrs.into_boxed_slice(),
+            values: values.into_boxed_str(),
+        }
+    }
+
+    /// The lowercase tag name.
+    #[inline]
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    pub(crate) fn atom(&self) -> &Atom {
+        &self.name
+    }
+
+    fn value(&self, slot: &AttrSlot) -> &str {
+        &self.values[slot.value.start as usize..slot.value.end as usize]
+    }
+
+    /// `(name, value)` of every attribute, in source order.
+    pub fn attrs(&self) -> impl ExactSizeIterator<Item = (&str, &str)> + Clone {
+        self.attrs
+            .iter()
+            .map(|slot| (slot.name.as_str(), self.value(slot)))
+    }
+
+    /// Value of the first attribute called `name` (lowercase).
+    pub fn attr(&self, name: &str) -> Option<&str> {
+        let slot = self.attrs.iter().find(|slot| slot.name == *name)?;
+        Some(self.value(slot))
+    }
+
+    /// Whether the element's content is raw text (`<script>`, `<style>`):
+    /// code, not content, to every reader of the page's text.
+    #[inline]
+    pub fn is_raw_text(&self) -> bool {
+        self.name == "script" || self.name == "style"
+    }
+
+    /// This element with its first attribute `name` set to `value`, or
+    /// with that attribute added at the end.
+    fn with_attr(&self, name: &str, value: &str) -> Self {
+        let at = self.attrs().position(|(attr_name, _)| attr_name == name);
+        let kept = self
+            .attrs()
+            .enumerate()
+            .map(|(i, (n, v))| (n, if Some(i) == at { value } else { v }));
+        let added = at.is_none().then_some((name, value));
+        Self::new(&mut Interner::default(), &self.name, kept.chain(added))
+    }
+}
+
+/// One node of the arena: its links, and where its payload is. Children
+/// form a singly linked sibling chain, so a node owns no heap memory and
+/// copying an arena is one `memcpy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
-    /// The payload, shared between a document and its clones; mutation goes
-    /// through `Arc::make_mut`, so a clone never sees it.
-    pub data: Arc<NodeData>,
+    payload: PayloadRef,
     pub parent: Option<NodeId>,
     first_child: Option<NodeId>,
     last_child: Option<NodeId>,
@@ -51,10 +139,27 @@ pub struct Node {
     pub detached: bool,
 }
 
+/// Which chunk of [`Document`]'s payload table a node's payload is in, and
+/// where in the chunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PayloadRef {
+    pub(crate) chunk: u32,
+    pub(crate) slot: u32,
+}
+
+impl PayloadRef {
+    /// The synthetic root's: no chunk holds it, [`Document::data`] answers
+    /// [`NodeData::Root`] for a chunk that is not there.
+    const ROOT: Self = Self {
+        chunk: u32::MAX,
+        slot: 0,
+    };
+}
+
 impl Node {
-    fn new(data: Arc<NodeData>, parent: Option<NodeId>) -> Self {
+    fn new(payload: PayloadRef, parent: Option<NodeId>) -> Self {
         Self {
-            data,
+            payload,
             parent,
             first_child: None,
             last_child: None,
@@ -68,16 +173,73 @@ impl Node {
 ///
 /// Cloning a `Document` is the snapshot operation the crawler's rollback
 /// (Alg. 3.1.1, line 17) relies on. It copies the arena's links and shares
-/// every payload and the id index, so it costs one allocation however many
-/// strings the document holds; the clone is still a deep snapshot because
-/// every mutation copies what it touches first.
+/// the payloads and the id index: payloads live in chunks — one per parse,
+/// so one per page and one per `innerHTML` text — and a clone counts a
+/// reference per chunk, not per node. It is still a deep snapshot, because
+/// no chunk is ever written: a mutation puts the new payload in a chunk of
+/// its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     nodes: Vec<Node>,
     root: NodeId,
+    /// The payloads of `nodes`, by [`PayloadRef`].
+    payloads: Vec<Arc<[NodeData]>>,
     /// Lazy index from `id` attribute to node, rebuilt after mutations.
     id_index: Arc<FnvHashMap<String, NodeId>>,
     id_index_dirty: bool,
+    /// The mutation log: what changed since [`Self::take_view`] last ran,
+    /// as the nodes whose subtree may read differently now. Every public
+    /// mutator writes it; a clone carries it.
+    touched: Vec<Touched>,
+    /// The arena's length when the log was started (0: never), which is
+    /// how many spans the view taken then has.
+    viewed_len: usize,
+}
+
+/// A log that reaches this length stops growing and stands for "anything
+/// may have changed": a handler that rewrites the page piecemeal gains
+/// nothing from splicing, and a loop that refills forever must not grow the
+/// log forever.
+const LOG_FULL: usize = 17;
+
+/// One entry of the mutation log.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Touched {
+    pub(crate) node: NodeId,
+    /// Set when `node`'s children were replaced by a copy of a fragment.
+    pub(crate) graft: Option<Graft>,
+}
+
+/// Where [`Document::set_inner_fragment`] put its copy of a fragment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Graft {
+    pub(crate) fragment: Arc<Fragment>,
+    /// The copy of the fragment's node `i >= 1` is node `first + i - 1`.
+    pub(crate) first: u32,
+}
+
+/// Markup parsed on its own, ready to be assigned to `innerHTML` any number
+/// of times ([`Document::set_inner_fragment`]): the parse, plus its
+/// normalized text and spans, so that a refill costs neither a tokenizer
+/// run nor a walk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fragment {
+    doc: Document,
+    view: NormalizedView,
+}
+
+impl Fragment {
+    /// Parses `html` as a fragment.
+    pub fn parse(html: &str) -> Self {
+        let doc = parser::parse_document(html);
+        let view = doc.normalized_view();
+        Self { doc, view }
+    }
+
+    /// The normalized view of [`Self::doc`].
+    pub(crate) fn view(&self) -> &NormalizedView {
+        &self.view
+    }
 }
 
 impl Default for Document {
@@ -90,10 +252,13 @@ impl Document {
     /// Creates an empty document containing only the root node.
     pub fn new() -> Self {
         Self {
-            nodes: vec![Node::new(Arc::new(NodeData::Root), None)],
+            nodes: vec![Node::new(PayloadRef::ROOT, None)],
             root: NodeId(0),
+            payloads: Vec::new(),
             id_index: Arc::default(),
             id_index_dirty: true,
+            touched: Vec::new(),
+            viewed_len: 0,
         }
     }
 
@@ -109,6 +274,16 @@ impl Document {
         &self.nodes[id.index()]
     }
 
+    /// The payload of a node.
+    #[inline]
+    pub fn data(&self, id: NodeId) -> &NodeData {
+        let at = self.nodes[id.index()].payload;
+        match self.payloads.get(at.chunk as usize) {
+            Some(chunk) => &chunk[at.slot as usize],
+            None => &NodeData::Root,
+        }
+    }
+
     /// Number of live (non-detached) nodes, including the root.
     pub fn len(&self) -> usize {
         self.nodes.iter().filter(|n| !n.detached).count()
@@ -119,14 +294,52 @@ impl Document {
         self.nodes[self.root.index()].first_child.is_none()
     }
 
-    /// Appends a new node under `parent` and returns its id.
-    pub fn append(&mut self, parent: NodeId, data: NodeData) -> NodeId {
-        self.append_shared(parent, Arc::new(data))
+    /// Notes in the mutation log that the subtree of `node` changed.
+    fn touch(&mut self, node: NodeId, graft: Option<Graft>) {
+        if self.touched.len() < LOG_FULL {
+            self.touched.push(Touched { node, graft });
+        }
     }
 
-    fn append_shared(&mut self, parent: NodeId, data: Arc<NodeData>) -> NodeId {
+    /// Appends a new node under `parent` and returns its id.
+    pub fn append(&mut self, parent: NodeId, data: NodeData) -> NodeId {
+        // One entry for a run of appends to the same parent.
+        let logged =
+            matches!(self.touched.last(), Some(t) if t.node == parent && t.graft.is_none());
+        if !logged {
+            self.touch(parent, None);
+        }
+        let payload = self.push_chunk(vec![data]);
+        self.push_node(parent, payload)
+    }
+
+    /// The index the next [`Self::push_chunk`] will give its chunk.
+    pub(crate) fn next_chunk(&self) -> u32 {
+        self.payloads.len() as u32
+    }
+
+    /// Adds `chunk` to the payload table and returns where its first
+    /// payload is; the others follow it slot by slot.
+    pub(crate) fn push_chunk(&mut self, chunk: Vec<NodeData>) -> PayloadRef {
+        let at = PayloadRef {
+            chunk: self.payloads.len() as u32,
+            slot: 0,
+        };
+        self.payloads.push(chunk.into());
+        at
+    }
+
+    /// Makes room for `more` nodes, sparing the arena its doublings.
+    pub(crate) fn reserve_nodes(&mut self, more: usize) {
+        self.nodes.reserve(more);
+    }
+
+    /// Links a new last child under `parent`: [`Self::append`] without the
+    /// log entry and with the payload wherever the caller put (or, while
+    /// parsing, is about to put) it.
+    pub(crate) fn push_node(&mut self, parent: NodeId, payload: PayloadRef) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::new(data, Some(parent)));
+        self.nodes.push(Node::new(payload, Some(parent)));
         match self.nodes[parent.index()].last_child.replace(id) {
             Some(last) => self.nodes[last.index()].next_sibling = Some(id),
             None => self.nodes[parent.index()].first_child = Some(id),
@@ -142,13 +355,12 @@ impl Document {
         name: &str,
         attrs: Vec<(String, String)>,
     ) -> NodeId {
-        self.append(
-            parent,
-            NodeData::Element {
-                name: name.to_ascii_lowercase(),
-                attrs,
-            },
-        )
+        let element = Element::new(
+            &mut Interner::default(),
+            &name.to_ascii_lowercase(),
+            attrs.iter().map(|(n, v)| (n.as_str(), v.as_str())),
+        );
+        self.append(parent, NodeData::Element(element))
     }
 
     /// Creates a text node under `parent`.
@@ -158,6 +370,11 @@ impl Document {
 
     /// Detaches the whole subtree under `id` (the node itself stays).
     pub fn clear_children(&mut self, id: NodeId) {
+        self.touch(id, None);
+        self.detach_children(id);
+    }
+
+    fn detach_children(&mut self, id: NodeId) {
         // Detached nodes keep their `parent` but lose every other link.
         let mut pending = vec![id];
         while let Some(node) = pending.pop() {
@@ -174,40 +391,34 @@ impl Document {
         self.id_index_dirty = true;
     }
 
-    /// Tag name of an element node, if `id` refers to one.
-    pub fn tag_name(&self, id: NodeId) -> Option<&str> {
-        match &*self.node(id).data {
-            NodeData::Element { name, .. } => Some(name),
+    /// The element payload of `id`, if it is an element.
+    #[inline]
+    pub fn element(&self, id: NodeId) -> Option<&Element> {
+        match self.data(id) {
+            NodeData::Element(element) => Some(element),
             _ => None,
         }
+    }
+
+    /// Tag name of an element node, if `id` refers to one.
+    pub fn tag_name(&self, id: NodeId) -> Option<&str> {
+        self.element(id).map(Element::name)
     }
 
     /// Value of attribute `name` (lowercase) on element `id`.
     pub fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
-        match &*self.node(id).data {
-            NodeData::Element { attrs, .. } => attrs
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.as_str()),
-            _ => None,
-        }
+        self.element(id)?.attr(name)
     }
 
     /// Sets (or adds) attribute `name` on element `id`.
     pub fn set_attr(&mut self, id: NodeId, name: &str, value: &str) {
-        let data = &mut self.nodes[id.index()].data;
-        if !matches!(**data, NodeData::Element { .. }) {
+        let Some(element) = self.element(id) else {
             return; // Nothing to set, so nothing to un-share.
-        }
-        if let NodeData::Element { attrs, .. } = Arc::make_mut(data) {
-            let name = name.to_ascii_lowercase();
-            if let Some(slot) = attrs.iter_mut().find(|(n, _)| *n == name) {
-                slot.1 = value.to_string();
-            } else {
-                attrs.push((name, value.to_string()));
-            }
-            self.id_index_dirty = true;
-        }
+        };
+        let element = element.with_attr(&name.to_ascii_lowercase(), value);
+        self.nodes[id.index()].payload = self.push_chunk(vec![NodeData::Element(element)]);
+        self.id_index_dirty = true;
+        self.touch(id, None);
     }
 
     /// Finds the element with `id="wanted"`. First match in document order.
@@ -247,7 +458,7 @@ impl Document {
     /// Iterates over all live element node ids in document order.
     pub fn walk(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.walk_all()
-            .filter(|&id| matches!(*self.node(id).data, NodeData::Element { .. }))
+            .filter(|&id| matches!(self.data(id), NodeData::Element(_)))
     }
 
     /// Iterates over *all* live node ids (elements, text, comments) in
@@ -276,18 +487,17 @@ impl Document {
     }
 
     fn collect_text(&self, id: NodeId, out: &mut String) {
-        let node = self.node(id);
-        if node.detached {
+        if self.node(id).detached {
             return;
         }
-        match &*node.data {
+        match self.data(id) {
             NodeData::Text(t) => {
                 if !out.is_empty() && !out.ends_with(char::is_whitespace) {
                     out.push(' ');
                 }
                 out.push_str(t);
             }
-            NodeData::Element { name, .. } if name == "script" || name == "style" => {}
+            NodeData::Element(element) if element.is_raw_text() => {}
             _ => {
                 for child in self.children(id) {
                     self.collect_text(child, out);
@@ -314,34 +524,47 @@ impl Document {
     }
 
     /// [`Self::set_inner_html`] for markup that is already parsed: replaces
-    /// the children of `id` by a copy of everything in `fragment`, which
-    /// must be the parse of that markup on its own. Nodes are appended in
-    /// the order the parser would create them, so the resulting `NodeId`s
-    /// equal those of `set_inner_html` on the same text; payloads are
-    /// shared with `fragment`, not copied.
-    pub fn set_inner_fragment(&mut self, id: NodeId, fragment: &Document) {
-        self.clear_children(id);
-        self.graft(fragment, fragment.root(), id);
-    }
+    /// the children of `id` by a copy of everything in `fragment`. A parse
+    /// creates its nodes in document order and so does the copy, so the
+    /// resulting `NodeId`s equal those of `set_inner_html` on the same
+    /// text; payloads are shared with `fragment`, not copied. The log keeps
+    /// the fragment, whose normalized text the next view copies instead of
+    /// walking the new nodes.
+    pub fn set_inner_fragment(&mut self, id: NodeId, fragment: &Arc<Fragment>) {
+        let graft = Graft {
+            fragment: Arc::clone(fragment),
+            first: self.nodes.len() as u32,
+        };
+        self.touch(id, Some(graft));
+        self.detach_children(id);
 
-    /// Copies the subtree under `src_id` of `src` as children of
-    /// `dst_parent`, in document order, sharing the payloads.
-    fn graft(&mut self, src: &Document, src_id: NodeId, dst_parent: NodeId) {
-        // Per open element of `src`: its next child to copy, and the copy
-        // that child goes under. A stack on the heap: documents nest as
-        // deep as their input says.
-        let mut open = vec![(src.node(src_id).first_child, dst_parent)];
-        while let Some((next, parent)) = open.last_mut() {
-            let Some(child) = *next else {
-                open.pop();
-                continue;
-            };
-            let node = src.node(child);
-            *next = node.next_sibling;
-            let parent = *parent;
-            let copy = self.append_shared(parent, Arc::clone(&node.data));
-            open.push((node.first_child, copy));
-        }
+        // A fresh parse has no detached nodes and its root is node 0: the
+        // copy of node `i >= 1` is node `i + shift`, links and all, and its
+        // payload is where it was in the fragment's chunks, shared.
+        let src = &fragment.doc;
+        let shift = self.nodes.len() as u32 - 1;
+        let moved = |link: Option<NodeId>| link.map(|n| NodeId(n.0 + shift));
+        let chunks = self.payloads.len() as u32;
+        self.payloads.extend(src.payloads.iter().cloned());
+        self.nodes.extend(src.nodes[1..].iter().map(|node| Node {
+            payload: PayloadRef {
+                chunk: node.payload.chunk + chunks,
+                slot: node.payload.slot,
+            },
+            parent: if node.parent == Some(src.root) {
+                Some(id)
+            } else {
+                moved(node.parent)
+            },
+            first_child: moved(node.first_child),
+            last_child: moved(node.last_child),
+            next_sibling: moved(node.next_sibling),
+            detached: false,
+        }));
+        let parent = &mut self.nodes[id.index()];
+        parent.first_child = moved(src.nodes[0].first_child);
+        parent.last_child = moved(src.nodes[0].last_child);
+        self.id_index_dirty = true;
     }
 
     /// Serializes the whole document.
@@ -357,12 +580,40 @@ impl Document {
 
     /// The normalized serialization together with the byte span of every
     /// subtree in it — what the state hash and the transition diff read.
+    /// A full walk; [`Self::take_view`] is the incremental way.
     pub fn normalized_view(&self) -> NormalizedView {
         NormalizedView::of(self)
     }
 
-    /// Stable content hash of the normalized document — the state identity of
-    /// §3.2 ("two states with the same hash value are considered the same").
+    /// [`Self::normalized_view`] of the document as it stands, and the start
+    /// of a new mutation log. Given as `base` the view this document (or
+    /// the one it was cloned from) returned here last, the new view is
+    /// that one with the subtrees the log names spliced in, at a cost
+    /// proportional to what changed; with no base, one of another length
+    /// than the log expects, or a log that overflowed, it is the full walk.
+    /// A base of the right length taken from some other document cannot be
+    /// told apart and gives the wrong bytes.
+    pub fn take_view(&mut self, base: Option<&NormalizedView>) -> NormalizedView {
+        let view = match base {
+            Some(base) if base.covers_len(self.viewed_len) && self.touched.len() < LOG_FULL => {
+                NormalizedView::spliced(base, self, &self.touched)
+            }
+            _ => NormalizedView::of(self),
+        };
+        self.touched.clear();
+        self.viewed_len = self.nodes.len();
+        view
+    }
+
+    /// False when nothing was logged since [`Self::take_view`] last ran
+    /// here (or on the document this one was cloned from): the view it
+    /// returned then still is this document's.
+    pub fn changed_since_view(&self) -> bool {
+        self.viewed_len == 0 || !self.touched.is_empty()
+    }
+
+    /// Stable content hash of the normalized document: FNV-64 of
+    /// [`Self::normalized`], the name a state is stored under (§3.2).
     pub fn content_hash(&self) -> u64 {
         self.normalized_view().hash()
     }
@@ -381,7 +632,7 @@ impl Document {
             if self.tag_name(id) == Some("script") {
                 let mut body = String::new();
                 for child in self.children(id) {
-                    if let NodeData::Text(t) = &*self.node(child).data {
+                    if let NodeData::Text(t) = self.data(child) {
                         body.push_str(t);
                     }
                 }
@@ -397,7 +648,22 @@ impl Document {
     /// a compaction; use only between crawl steps, never while holding ids.
     pub fn compact(&self) -> Document {
         let mut out = Document::new();
-        out.graft(self, self.root, out.root);
+        out.payloads = self.payloads.clone();
+        // Per open element: its next child to copy, and the copy that child
+        // goes under. A stack on the heap: documents nest as deep as their
+        // input says.
+        let mut open = vec![(self.node(self.root).first_child, out.root)];
+        while let Some((next, parent)) = open.last_mut() {
+            let Some(child) = *next else {
+                open.pop();
+                continue;
+            };
+            let node = self.node(child);
+            *next = node.next_sibling;
+            let parent = *parent;
+            let copy = out.push_node(parent, node.payload);
+            open.push((node.first_child, copy));
+        }
         out
     }
 
@@ -540,6 +806,38 @@ mod tests {
         assert_eq!(doc.attr(a, "class"), Some("y"));
         doc.set_attr(a, "data-k", "v");
         assert_eq!(doc.attr(a, "data-k"), Some("v"));
+    }
+
+    #[test]
+    fn take_view_splices_or_walks_and_agrees_with_the_walk() {
+        let mut doc = parse_document(&"<p class=\"a\">x</p>".repeat(40));
+        let base = doc.take_view(None);
+        assert_eq!(base, doc.normalized_view());
+        assert!(!doc.changed_since_view());
+
+        // A few mutations are spliced in; more than the log holds are not
+        // logged one by one, and the view is the full walk again.
+        let nodes: Vec<NodeId> = doc.walk().collect();
+        for many in [3, 40] {
+            for &node in &nodes[..many] {
+                doc.set_attr(node, "class", "b");
+            }
+            assert!(doc.changed_since_view());
+            assert!(doc.touched.len() <= LOG_FULL);
+            let view = doc.take_view(Some(&base));
+            assert_eq!(view, doc.normalized_view());
+            assert!(doc.touched.is_empty());
+            for &node in &nodes[..many] {
+                doc.set_attr(node, "class", "a");
+            }
+            assert_eq!(doc.take_view(Some(&view)), base);
+        }
+        // A base from before the arena grew is not this log's base.
+        doc.set_inner_html(nodes[0], "<b>y</b>");
+        let grown = doc.take_view(Some(&base));
+        doc.set_attr(nodes[1], "class", "c");
+        assert_eq!(doc.take_view(Some(&base)), doc.normalized_view());
+        assert_ne!(grown, base);
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! plus numeric character references. Unknown entities are passed through
 //! verbatim (browser-like leniency).
 
+use std::borrow::Cow;
+
 /// Decodes HTML entities in `input` (`&amp;`, `&lt;`, `&gt;`, `&quot;`,
-/// `&apos;`, `&nbsp;` and numeric `&#NN;` / `&#xHH;` references).
-pub fn decode(input: &str) -> String {
+/// `&apos;`, `&nbsp;` and numeric `&#NN;` / `&#xHH;` references). Input
+/// without an `&` comes back as it is, not copied.
+pub fn decode(input: &str) -> Cow<'_, str> {
     if !input.contains('&') {
-        return input.to_string();
+        return Cow::Borrowed(input);
     }
     let mut out = String::with_capacity(input.len());
     let bytes = input.as_bytes();
@@ -16,7 +19,7 @@ pub fn decode(input: &str) -> String {
     while i < bytes.len() {
         if bytes[i] == b'&' {
             if let Some((replacement, consumed)) = decode_entity(&input[i..]) {
-                out.push_str(&replacement);
+                out.push(replacement);
                 i += consumed;
                 continue;
             }
@@ -26,7 +29,7 @@ pub fn decode(input: &str) -> String {
         out.push_str(&input[i..i + ch_len]);
         i += ch_len;
     }
-    out
+    Cow::Owned(out)
 }
 
 fn utf8_len(first_byte: u8) -> usize {
@@ -39,32 +42,27 @@ fn utf8_len(first_byte: u8) -> usize {
 }
 
 /// Attempts to decode one entity at the start of `s` (which begins with `&`).
-/// Returns the replacement text and the number of input bytes consumed.
-fn decode_entity(s: &str) -> Option<(String, usize)> {
-    let end = s[1..].find(';').map(|p| p + 1)?;
-    if end > 32 {
-        return None; // Unreasonably long; not an entity.
-    }
+/// Returns the replacement character and the number of input bytes consumed.
+fn decode_entity(s: &str) -> Option<(char, usize)> {
+    // An entity is at most 32 bytes to its `;` — look no further, or text
+    // full of bare ampersands costs a scan to its end for each.
+    let end = 1 + s.as_bytes()[1..].iter().take(32).position(|&b| b == b';')?;
     let name = &s[1..end];
     let consumed = end + 1;
-    let text = match name {
-        "amp" => "&".to_string(),
-        "lt" => "<".to_string(),
-        "gt" => ">".to_string(),
-        "quot" => "\"".to_string(),
-        "apos" => "'".to_string(),
-        "nbsp" => "\u{a0}".to_string(),
+    let ch = match name {
+        "amp" => '&',
+        "lt" => '<',
+        "gt" => '>',
+        "quot" => '"',
+        "apos" => '\'',
+        "nbsp" => '\u{a0}',
         _ if name.starts_with("#x") || name.starts_with("#X") => {
-            let code = u32::from_str_radix(&name[2..], 16).ok()?;
-            char::from_u32(code)?.to_string()
+            char::from_u32(u32::from_str_radix(&name[2..], 16).ok()?)?
         }
-        _ if name.starts_with('#') => {
-            let code: u32 = name[1..].parse().ok()?;
-            char::from_u32(code)?.to_string()
-        }
+        _ if name.starts_with('#') => char::from_u32(name[1..].parse().ok()?)?,
         _ => return None,
     };
-    Some((text, consumed))
+    Some((ch, consumed))
 }
 
 /// Encodes text content: escapes `&`, `<`, `>`.

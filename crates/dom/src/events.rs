@@ -105,8 +105,16 @@ pub struct EventBinding {
 pub fn collect_event_bindings(doc: &Document, types: &[EventType]) -> Vec<EventBinding> {
     let mut out = Vec::new();
     for id in doc.walk() {
+        // Most elements carry no handler at all: one look at the names
+        // instead of one lookup per event type.
+        let Some(element) = doc.element(id) else {
+            continue;
+        };
+        if !element.attrs().any(|(name, _)| name.starts_with("on")) {
+            continue;
+        }
         for ty in types {
-            if let Some(code) = doc.attr(id, ty.attr_name()) {
+            if let Some(code) = element.attr(ty.attr_name()) {
                 if code.trim().is_empty() {
                     continue;
                 }

@@ -4,7 +4,8 @@
 //! dropped, unclosed elements are closed at EOF, void elements never take
 //! children.
 
-use crate::dom::{Document, NodeData, NodeId};
+use crate::atom::{Atom, Interner};
+use crate::dom::{Document, Element, NodeData, NodeId, PayloadRef};
 use crate::tokenizer::{Token, Tokenizer};
 
 /// Elements that never have children (no end tag expected).
@@ -27,53 +28,59 @@ pub fn parse_document(html: &str) -> Document {
 }
 
 /// Parses `html` and appends the resulting nodes under `parent`, straight
-/// into `doc`'s arena (the `innerHTML` setter path). End tags match only
-/// elements opened by `html` itself, so a fragment cannot close the element
-/// it is set into.
-pub fn parse_into(doc: &mut Document, parent: NodeId, html: &str) {
+/// into `doc`'s arena (the `innerHTML` setter path; the caller logs the
+/// mutation). End tags match only elements opened by `html` itself, so a
+/// fragment cannot close the element it is set into.
+pub(crate) fn parse_into(doc: &mut Document, parent: NodeId, html: &str) {
     // The elements `html` has opened and not yet closed, innermost last.
-    let mut open: Vec<NodeId> = Vec::new();
+    let mut open: Vec<(NodeId, Atom)> = Vec::new();
+    let mut names = Interner::default();
+    let mut tokens = Tokenizer::new(html);
+    // The payloads of this parse: one chunk, which the document gets at the
+    // end and whose slots the nodes name as they are made.
+    // (Text-centric markup runs to about a node per 32 bytes.)
+    let expected = html.len() / 32;
+    let mut payloads: Vec<NodeData> = Vec::with_capacity(expected);
+    let chunk = doc.next_chunk();
+    doc.reserve_nodes(expected);
 
-    for token in Tokenizer::new(html) {
-        let current = open.last().copied().unwrap_or(parent);
+    while let Some(token) = tokens.next_token() {
+        let current = open.last().map_or(parent, |(id, _)| *id);
+        let mut append = |data| {
+            let slot = payloads.len() as u32;
+            payloads.push(data);
+            doc.push_node(current, PayloadRef { chunk, slot })
+        };
         match token {
             Token::Doctype(_) => {}
             Token::Comment(body) => {
-                doc.append(current, NodeData::Comment(body));
+                append(NodeData::Comment(body.to_string()));
             }
             Token::Text(text) => {
                 if !text.is_empty() {
-                    doc.append(current, NodeData::Text(text));
+                    append(NodeData::Text(text.into_owned()));
                 }
             }
-            Token::StartTag {
-                name,
-                attrs,
-                self_closing,
-            } => {
+            Token::StartTag { name, self_closing } => {
+                let attrs = tokens.attrs().iter().map(|a| (&*a.name, &*a.value));
+                let element = Element::new(&mut names, &name, attrs);
                 let takes_children = !self_closing && !is_void_element(&name);
-                let id = doc.append(
-                    current,
-                    NodeData::Element {
-                        name,
-                        attrs: attrs.into_iter().map(|a| (a.name, a.value)).collect(),
-                    },
-                );
-                if takes_children {
-                    open.push(id);
-                }
+                let name = takes_children.then(|| element.atom().clone());
+                let id = append(NodeData::Element(element));
+                open.extend(name.map(|name| (id, name)));
             }
             Token::EndTag { name } => {
                 // Pop up to (and including) the nearest matching open element;
                 // if none matches, ignore the stray end tag.
-                if let Some(pos) = open
-                    .iter()
-                    .rposition(|&id| doc.tag_name(id) == Some(name.as_str()))
-                {
+                if let Some(pos) = open.iter().rposition(|(_, open)| *open == *name) {
                     open.truncate(pos);
                 }
             }
         }
+    }
+    if !payloads.is_empty() {
+        let at = doc.push_chunk(payloads);
+        debug_assert_eq!(at.chunk, chunk);
     }
 }
 

@@ -12,13 +12,20 @@
 //! (`set_inner_html`). The two must be indistinguishable, node id for node
 //! id.
 //!
+//! And it pins the incremental way to a view: `take_view`, which splices
+//! the subtrees the mutation log names into the view before, must return
+//! what the full walk (`normalized_view`, the oracle) returns — every byte
+//! and the span of every arena slot — after any sequence of the mutations
+//! an event handler can make.
+//!
 //! Case counts are bounded for tier-1; `PROPTEST_CASES` raises them in CI.
 
 use ajax_dom::events::describe_element;
 use ajax_dom::{
-    changed_roots, fnv64_str, parse_document, ChangedTarget, Document, NodeData, NodeId,
+    changed_roots, fnv64_str, ChangedTarget, Document, Fragment, NodeData, NodeId, NormalizedView,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 // ---- the oracle ----------------------------------------------------------
 
@@ -31,7 +38,7 @@ fn oracle(old: &Document, new: &Document) -> Vec<ChangedTarget> {
 /// The subtree under `node`, normalized on its own.
 fn subtree_normalized(doc: &Document, node: NodeId) -> String {
     fn graft(src: &Document, src_node: NodeId, dst: &mut Document, dst_parent: NodeId) {
-        let data = NodeData::clone(&src.node(src_node).data);
+        let data = src.data(src_node).clone();
         let new_id = dst.append(dst_parent, data);
         for child in src.children(src_node) {
             graft(src, child, dst, new_id);
@@ -68,8 +75,8 @@ fn oracle_children(
     let old_children: Vec<NodeId> = old.children(old_node).collect();
     let new_children: Vec<NodeId> = new.children(new_node).collect();
 
-    let same_kind = |a: NodeId, b: NodeId| match (&*old.node(a).data, &*new.node(b).data) {
-        (NodeData::Element { name: n1, .. }, NodeData::Element { name: n2, .. }) => n1 == n2,
+    let same_kind = |a: NodeId, b: NodeId| match (old.data(a), new.data(b)) {
+        (NodeData::Element(x), NodeData::Element(y)) => x.name() == y.name(),
         (NodeData::Text(_), NodeData::Text(_)) => true,
         (NodeData::Comment(_), NodeData::Comment(_)) => true,
         _ => false,
@@ -91,11 +98,11 @@ fn oracle_children(
     let collapse = |s: &str| s.split_whitespace().collect::<Vec<_>>().join(" ");
     let mut changed: Vec<(usize, Change)> = Vec::new();
     for (i, (&a, &b)) in old_children.iter().zip(&new_children).enumerate() {
-        match (&*old.node(a).data, &*new.node(b).data) {
-            (NodeData::Element { attrs: x, .. }, NodeData::Element { attrs: y, .. })
+        match (old.data(a), new.data(b)) {
+            (NodeData::Element(x), NodeData::Element(y))
                 if subtree_normalized(old, a) != subtree_normalized(new, b) =>
             {
-                let (mut x, mut y) = (x.clone(), y.clone());
+                let (mut x, mut y): (Vec<_>, Vec<_>) = (x.attrs().collect(), y.attrs().collect());
                 x.sort();
                 y.sort();
                 changed.push((
@@ -319,6 +326,65 @@ fn refill_some_element(rng: &mut Rng, doc: &mut Document) {
     doc.set_inner_html(target, &fragment);
 }
 
+/// Texts an event handler assigns to `innerHTML`: random markup, plus
+/// the ones that normalize to nothing or to text alone.
+fn gen_markup(rng: &mut Rng) -> String {
+    match rng.below(6) {
+        0 => String::new(),
+        1 => " \n ".to_string(),
+        2 => "<!-- c --><script>var x = '<p>';</script> ".to_string(),
+        3 => gen_text(rng).replace('<', "&lt;"),
+        _ => build(&gen_forest(rng, 2)).to_html(),
+    }
+}
+
+/// What the handlers of one fired event may do to a live page: one to four
+/// of `set_inner_fragment`, `set_inner_html`, `set_attr` and the plainer
+/// public mutators, on nodes that are often the one touched last, a node
+/// inside it, an ancestor of it, or one an earlier step detached.
+fn fire(rng: &mut Rng, doc: &mut Document, fragments: &[Arc<Fragment>], seen: &mut Vec<NodeId>) {
+    for _ in 0..1 + rng.below(4) {
+        let live: Vec<NodeId> = doc.walk().collect();
+        let target = match (rng.below(4), seen.last()) {
+            (0, Some(&last)) => last,
+            (1, Some(_)) => seen[rng.below(seen.len())],
+            _ if live.is_empty() => doc.root(),
+            _ => live[rng.below(live.len())],
+        };
+        seen.push(target);
+        match rng.below(8) {
+            0..=2 => doc.set_inner_fragment(target, &fragments[rng.below(fragments.len())]),
+            3 | 4 => doc.set_inner_html(target, &gen_markup(rng)),
+            5 | 6 => doc.set_attr(target, rng.pick(ATTRS), rng.pick(VALUES)),
+            _ if rng.below(2) == 0 => doc.clear_children(target),
+            _ => {
+                doc.append_text(target, &gen_text(rng));
+            }
+        }
+    }
+}
+
+/// `take_view` against the oracle, and the diff read through either.
+fn check_splice(
+    before: &Document,
+    base: &NormalizedView,
+    doc: &mut Document,
+) -> Result<NormalizedView, TestCaseError> {
+    let spliced = doc.take_view(Some(base));
+    let walked = doc.normalized_view();
+    prop_assert_eq!(spliced.text(), walked.text(), "page: {}", doc.to_html());
+    for id in doc.walk_all() {
+        prop_assert_eq!(spliced.subtree(id), walked.subtree(id), "node {:?}", id);
+    }
+    // Every slot, detached and empty ones included.
+    prop_assert_eq!(&spliced, &walked, "page: {}", doc.to_html());
+    prop_assert_eq!(
+        changed_roots(before, base, doc, &spliced),
+        changed_roots(before, &before.normalized_view(), doc, &walked)
+    );
+    Ok(spliced)
+}
+
 fn check_hash_identities(doc: &Document) -> Result<(), TestCaseError> {
     let normalized = doc.normalized();
     let view = doc.normalized_view();
@@ -351,7 +417,7 @@ fn check_indistinguishable(a: &Document, b: &Document) -> Result<(), TestCaseErr
     let ids: Vec<NodeId> = a.walk_all().collect();
     prop_assert_eq!(&ids, &b.walk_all().collect::<Vec<_>>());
     for &id in &ids {
-        prop_assert_eq!(&a.node(id).data, &b.node(id).data);
+        prop_assert_eq!(a.data(id), b.data(id));
         prop_assert_eq!(a.node(id).parent, b.node(id).parent);
     }
     prop_assert_eq!(a.to_html(), b.to_html());
@@ -380,7 +446,8 @@ proptest! {
         // node and then to others, which may sit inside an earlier refill.
         let texts: Vec<String> =
             (0..2).map(|_| build(&gen_forest(&mut rng, 2)).to_html()).collect();
-        let parsed: Vec<Document> = texts.iter().map(|t| parse_document(t)).collect();
+        let parsed: Vec<Arc<Fragment>> =
+            texts.iter().map(|t| Arc::new(Fragment::parse(t))).collect();
         let mut target = elements[rng.below(elements.len())];
         for round in 0..5 {
             let which = if round < 2 { round } else { rng.below(2) };
@@ -394,6 +461,42 @@ proptest! {
             if rng.below(2) == 0 {
                 let live: Vec<NodeId> = from_text.walk().collect();
                 target = live[rng.below(live.len())];
+            }
+        }
+    }
+
+    #[test]
+    fn spliced_view_equals_the_full_walk(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        let mut page = build(&gen_forest(&mut rng, 3));
+        let fragments: Vec<Arc<Fragment>> =
+            (0..3).map(|_| Arc::new(Fragment::parse(&gen_markup(&mut rng)))).collect();
+        let mut seen = Vec::new();
+
+        let mut view = page.take_view(None);
+        prop_assert_eq!(&view, &page.normalized_view());
+        for _ in 0..3 {
+            // A state: the page and its view, as a crawler snapshots them.
+            let (snapshot, snapshot_view) = (page.clone(), view.clone());
+            // Events fired from the state, each after a rollback to it; the
+            // last one's outcome is the next state.
+            for _ in 0..2 {
+                page = snapshot.clone();
+                seen.clear(); // Ids the last event created are gone.
+                let restored = page.take_view(Some(&snapshot_view));
+                prop_assert_eq!(&restored, &snapshot_view, "a rollback changes nothing");
+
+                fire(&mut rng, &mut page, &fragments, &mut seen);
+                view = check_splice(&snapshot, &snapshot_view, &mut page)?;
+                // Nothing logged since: the same view again, from itself.
+                prop_assert!(!page.changed_since_view());
+                prop_assert_eq!(&page.take_view(Some(&view)), &view);
+                if rng.below(2) == 0 {
+                    // A second handler before the next view, on top.
+                    let before = page.clone();
+                    fire(&mut rng, &mut page, &fragments, &mut seen);
+                    view = check_splice(&before, &view, &mut page)?;
+                }
             }
         }
     }

@@ -37,7 +37,7 @@ impl FrameInfo {
 #[derive(Debug, Clone)]
 pub struct GlobalsSnapshot {
     globals: HashMap<String, Value>,
-    functions: HashMap<String, Rc<FunctionDecl>>,
+    functions: Rc<HashMap<String, Rc<FunctionDecl>>>,
 }
 
 /// Statement-level control flow.
@@ -58,7 +58,10 @@ struct Run<'a> {
 /// event invocations (exactly like a browser tab), and can be snapshot /
 /// restored for crawl rollback.
 pub struct Interpreter {
-    functions: HashMap<String, Rc<FunctionDecl>>,
+    /// Shared with the snapshots taken since it last changed: a page
+    /// declares its functions at load, and rollback restores the table by
+    /// pointer. Declaring one later copies the table first.
+    functions: Rc<HashMap<String, Rc<FunctionDecl>>>,
     globals: HashMap<String, Value>,
     /// Local scopes, one per active call frame.
     locals: Vec<HashMap<String, Value>>,
@@ -87,7 +90,7 @@ impl Interpreter {
     /// Creates an interpreter with a custom fuel budget.
     pub fn with_fuel(fuel_limit: u64) -> Self {
         Self {
-            functions: HashMap::new(),
+            functions: Rc::default(),
             globals: HashMap::new(),
             locals: Vec::new(),
             stack: Vec::new(),
@@ -138,19 +141,25 @@ impl Interpreter {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.deep_clone()))
                 .collect(),
-            functions: self.functions.clone(),
+            functions: Rc::clone(&self.functions),
         }
     }
 
     /// Restores a snapshot taken by [`Self::snapshot_globals`]. The snapshot
-    /// itself stays pristine (values are deep-cloned out again).
+    /// itself stays pristine (values are deep-cloned out again); the map
+    /// and the names both sides have are kept, not allocated again.
     pub fn restore_globals(&mut self, snapshot: &GlobalsSnapshot) {
-        self.globals = snapshot
-            .globals
-            .iter()
-            .map(|(k, v)| (k.clone(), v.deep_clone()))
-            .collect();
-        self.functions = snapshot.functions.clone();
+        self.globals
+            .retain(|name, _| snapshot.globals.contains_key(name));
+        for (name, value) in &snapshot.globals {
+            match self.globals.get_mut(name) {
+                Some(slot) => *slot = value.deep_clone(),
+                None => {
+                    self.globals.insert(name.clone(), value.deep_clone());
+                }
+            }
+        }
+        self.functions = Rc::clone(&snapshot.functions);
     }
 
     /// Parses `src`, hoists its function declarations and executes its
@@ -235,8 +244,17 @@ impl Interpreter {
     fn hoist(&mut self, body: &[Stmt]) {
         for stmt in body {
             if let Stmt::Function(decl) = stmt {
-                self.functions.insert(decl.name.clone(), Rc::clone(decl));
+                self.declare(decl);
             }
+        }
+    }
+
+    /// Binds `decl.name` to `decl`. Binding it again (a hoisted declaration
+    /// reached by execution) leaves a table shared with snapshots shared.
+    fn declare(&mut self, decl: &Rc<FunctionDecl>) {
+        let bound = self.functions.get(&decl.name);
+        if !bound.is_some_and(|bound| Rc::ptr_eq(bound, decl)) {
+            Rc::make_mut(&mut self.functions).insert(decl.name.clone(), Rc::clone(decl));
         }
     }
 
@@ -264,7 +282,7 @@ impl Interpreter {
         match stmt {
             Stmt::Empty => Ok(Flow::Normal),
             Stmt::Function(decl) => {
-                self.functions.insert(decl.name.clone(), Rc::clone(decl));
+                self.declare(decl);
                 Ok(Flow::Normal)
             }
             Stmt::VarDecl { name, init, line } => {

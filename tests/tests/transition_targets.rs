@@ -142,6 +142,35 @@ fn planner_claims_match_recorded_constants() {
     assert_eq!(claims(&gallery()), GALLERY_CLAIMS, "gallery");
 }
 
+/// `(duplicates, events_fired, states, transitions, graph_signature)` per
+/// crawled page.
+fn shape(pages: &[PageCrawl]) -> Vec<(u64, u64, u64, usize, u64)> {
+    pages
+        .iter()
+        .map(|p| {
+            let s = &p.stats;
+            (
+                s.duplicates,
+                s.events_fired,
+                s.states,
+                p.model.transitions.len(),
+                p.model.graph_signature(),
+            )
+        })
+        .collect()
+}
+
+/// Recorded at the commit before duplicate detection moved from comparing
+/// hashes to comparing the normalized text: which events were unchanged,
+/// which led to a known state and which to a new one must not move, and
+/// every `State::hash` (inside the signature) must stay the FNV of the text.
+#[test]
+fn crawl_shape_matches_recorded_constants() {
+    assert_eq!(shape(&vidshare()), VIDSHARE_SHAPE, "vidshare");
+    assert_eq!(shape(&newsshare()), NEWS_SHAPE, "newsshare");
+    assert_eq!(shape(&gallery()), GALLERY_SHAPE, "gallery");
+}
+
 /// Every equivalence/commutativity claim on the Gallery pages, fired
 /// anyway: none of them changes the state.
 #[test]
@@ -182,3 +211,18 @@ const VIDSHARE_CLAIMS: &[(u64, u64, u64, u64)] =
     &[(3, 0, 0, 7), (5, 0, 0, 15), (7, 0, 0, 23), (3, 0, 0, 7)];
 const NEWS_CLAIMS: &[(u64, u64, u64, u64)] = &[(0, 0, 0, 22), (0, 0, 0, 22)];
 const GALLERY_CLAIMS: &[(u64, u64, u64, u64)] = &[(0, 13, 42, 3), (0, 13, 42, 3), (0, 13, 42, 3)];
+const VIDSHARE_SHAPE: &[(u64, u64, u64, usize, u64)] = &[
+    (7, 9, 3, 9, 7860993191086318296),
+    (15, 19, 5, 19, 4987640653832535369),
+    (23, 29, 7, 29, 14569789840453344927),
+    (7, 9, 3, 9, 2704556479062135336),
+];
+const NEWS_SHAPE: &[(u64, u64, u64, usize, u64)] = &[
+    (22, 39, 9, 30, 14405320551259955757),
+    (22, 39, 9, 30, 15627658952793385874),
+];
+const GALLERY_SHAPE: &[(u64, u64, u64, usize, u64)] = &[
+    (3, 7, 4, 6, 5633866710177244907),
+    (3, 7, 4, 6, 5266015128884040178),
+    (3, 7, 4, 6, 761345627761824859),
+];
