@@ -81,6 +81,19 @@ impl PartialEq for Atom {
 
 impl Eq for Atom {}
 
+/// As the string: what lets a map keyed by atoms be asked about a `&str`.
+impl std::hash::Hash for Atom {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl std::borrow::Borrow<str> for Atom {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
 impl PartialEq<str> for Atom {
     #[inline]
     fn eq(&self, other: &str) -> bool {

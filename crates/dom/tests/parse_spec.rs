@@ -15,11 +15,13 @@
 //!
 //! Case counts are bounded for tier-1; `PROPTEST_CASES` raises them in CI.
 
-use ajax_dom::{parse_document, NodeData, Token, Tokenizer};
+use ajax_dom::parser::is_void_element;
+use ajax_dom::{parse_document, Document, NodeData, Token, Tokenizer};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
 use std::cell::Cell;
+use std::time::{Duration, Instant};
 
 // ---- counting allocations ------------------------------------------------
 
@@ -138,6 +140,40 @@ fn twenty_thousand_scripts_tokenize_in_linear_work() {
     assert!(bytes <= 40 * page.len(), "parsing allocated {bytes} bytes");
 }
 
+#[test]
+fn a_hundred_thousand_stray_end_tags_parse_in_linear_work() {
+    // The tree builder looked for each stray `</span>` through every open
+    // `<div>`: 10^10 name compares, twelve seconds of them in a release build.
+    // With the open elements counted per name each is one lookup. The
+    // bound leaves a loaded machine two orders of magnitude and the
+    // quadratic search none.
+    let n = 100_000;
+    let bound = Duration::from_secs(5);
+    let chain_of_divs = |doc: &Document, extra: usize| {
+        assert_eq!(doc.walk_all().count(), n + extra);
+        let divs = doc.walk_all().take(n);
+        assert!(divs.zip(doc.walk_all().skip(1)).all(|(outer, inner)| {
+            doc.tag_name(outer) == Some("div") && doc.node(inner).parent == Some(outer)
+        }));
+    };
+
+    let page = format!("{}{}", "<div>".repeat(n), "</span>".repeat(n));
+    let started = Instant::now();
+    let doc = parse_document(&page);
+    assert!(started.elapsed() < bound, "{:?}", started.elapsed());
+    chain_of_divs(&doc, 0);
+
+    // A name that opens and closes above the deep stack is stray again each
+    // time it has closed: its count must come back down to zero.
+    let page = format!("{}{}", "<div>".repeat(n), "<i></i></i>".repeat(n));
+    let started = Instant::now();
+    let doc = parse_document(&page);
+    assert!(started.elapsed() < bound, "{:?}", started.elapsed());
+    chain_of_divs(&doc, n);
+    let innermost = doc.walk_all().nth(n - 1).expect("the last div");
+    assert_eq!(doc.children(innermost).count(), n, "every <i> is its child");
+}
+
 // ---- inputs ---------------------------------------------------------------
 
 /// SplitMix64: the test's only source of choices, seeded by proptest.
@@ -233,6 +269,52 @@ fn gen_bytes(rng: &mut Rng) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// Every node of `doc` in document order: how deep it sits and what it is.
+fn outline(doc: &Document) -> Vec<(usize, String)> {
+    doc.walk_all()
+        .map(|id| {
+            let depth = std::iter::successors(doc.node(id).parent, |&up| doc.node(up).parent);
+            let label = match doc.data(id) {
+                NodeData::Element(element) => format!("<{}>", element.name()),
+                NodeData::Text(text) => text.clone(),
+                NodeData::Comment(body) => format!("<!--{body}-->"),
+                NodeData::Root => unreachable!("the walk leaves the root out"),
+            };
+            (depth.count(), label)
+        })
+        .collect()
+}
+
+/// The same outline from the token stream by the tree builder's rule, said
+/// as plainly as it can be: an end tag closes up to and including the
+/// nearest open element of its name, found by looking, or nothing.
+fn outline_by_the_rule(input: &str) -> Vec<(usize, String)> {
+    let mut open: Vec<String> = Vec::new();
+    let mut out = Vec::new();
+    let mut tokens = Tokenizer::new(input);
+    while let Some(token) = tokens.next_token() {
+        let depth = open.len() + 1;
+        match token {
+            Token::Doctype(_) => {}
+            Token::Comment(body) => out.push((depth, format!("<!--{body}-->"))),
+            Token::Text(text) if text.is_empty() => {}
+            Token::Text(text) => out.push((depth, text.into_owned())),
+            Token::StartTag { name, self_closing } => {
+                out.push((depth, format!("<{name}>")));
+                if !self_closing && !is_void_element(&name) {
+                    open.push(name.into_owned());
+                }
+            }
+            Token::EndTag { name } => {
+                if let Some(at) = open.iter().rposition(|open| *open == *name) {
+                    open.truncate(at);
+                }
+            }
+        }
+    }
+    out
+}
+
 fn cases() -> ProptestConfig {
     let cases = std::env::var("PROPTEST_CASES")
         .ok()
@@ -284,6 +366,13 @@ proptest! {
         prop_assert_eq!(tokens.pos(), input.len());
         prop_assert_eq!(covered, input);
         prop_assert!(tokens.raw_text_scanned() <= tokens.pos());
+    }
+
+    #[test]
+    fn end_tags_close_what_looking_through_the_open_elements_would(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        let input: String = (0..3).map(|_| gen_markup(&mut rng)).collect();
+        prop_assert_eq!(outline(&parse_document(&input)), outline_by_the_rule(&input));
     }
 
     #[test]

@@ -42,8 +42,9 @@ use ajax_crawl::model::{AppModel, StateId};
 use ajax_crawl::pagerank::pagerank_default;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 /// Identifies one indexed document: a `(page, state)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -771,41 +772,153 @@ impl Deserialize for InvertedIndex {
     }
 }
 
-/// Per-term accumulator inside [`IndexBuilder`]: a miniature of the final
-/// columns. Docs arrive in increasing order (states are processed in page,
-/// then state order), so each accumulator is born sorted.
-#[derive(Debug, Default)]
+/// `a × b` as 128 bits, folded to 64: the mixing step of the interner's hash.
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let wide = u128::from(a) * u128::from(b);
+    wide as u64 ^ (wide >> 64) as u64
+}
+
+/// Term → dense local id in first-seen order (`build` re-ranks the ids by
+/// sorted term). Term bytes are stored once, back to back in one arena; the
+/// table holds ids only. The hash is a multiply-fold over 8-byte words,
+/// seeded per interner from [`RandomState`]: state text is crawled web
+/// content, and a page must not be able to precompute terms that share a
+/// slot. Nothing the builder outputs depends on the seed.
+#[derive(Debug)]
+struct Interner {
+    seed: u64,
+    /// Open addressing with linear probing; power-of-two length, at most
+    /// half full. A slot is `high half of the hash | id + 1`; 0 is empty.
+    slots: Vec<u64>,
+    /// Every distinct term, concatenated in id order.
+    arena: String,
+    /// Term `id` is `arena[bounds[id]..bounds[id + 1]]`.
+    bounds: Vec<u32>,
+}
+
+impl Default for Interner {
+    fn default() -> Self {
+        Self {
+            seed: RandomState::new().build_hasher().finish(),
+            slots: vec![0; 1024],
+            arena: String::new(),
+            bounds: vec![0],
+        }
+    }
+}
+
+impl Interner {
+    const TAG: u64 = !0 << 32;
+
+    fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    fn term(&self, id: u32) -> &str {
+        &self.arena[self.bounds[id as usize] as usize..self.bounds[id as usize + 1] as usize]
+    }
+
+    fn hash(&self, term: &str) -> u64 {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let bytes = term.as_bytes();
+        let mut h = self.seed ^ (bytes.len() as u64).wrapping_mul(K);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let w = u64::from_le_bytes(w.try_into().expect("chunks of eight"));
+            h = fold_mul(h ^ w, K);
+        }
+        // The 1–7 trailing bytes as one word without a variable-length copy
+        // (half the speed): two overlapping reads, or first/middle/last.
+        let rest = words.remainder();
+        let n = rest.len();
+        if n >= 4 {
+            let lo = u32::from_le_bytes(rest[..4].try_into().expect("four bytes"));
+            let hi = u32::from_le_bytes(rest[n - 4..].try_into().expect("four bytes"));
+            h = fold_mul(h ^ (u64::from(hi) << 32 | u64::from(lo)), K);
+        } else if n > 0 {
+            let w = u64::from(rest[0]) << 16 | u64::from(rest[n / 2]) << 8 | u64::from(rest[n - 1]);
+            h = fold_mul(h ^ w, K);
+        }
+        h
+    }
+
+    /// The id of `term`, assigning the next one on first sight.
+    fn intern(&mut self, term: &str) -> u32 {
+        let hash = self.hash(term);
+        let tag = hash & Self::TAG;
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let entry = self.slots[slot];
+            if entry == 0 {
+                break;
+            }
+            if entry & Self::TAG == tag && self.term(entry as u32 - 1) == term {
+                return entry as u32 - 1;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let id = u32::try_from(self.len()).expect("distinct terms exceed the u32 id space");
+        self.arena.push_str(term);
+        self.bounds
+            .push(u32::try_from(self.arena.len()).expect("term bytes exceed the u32 offset space"));
+        self.slots[slot] = tag | u64::from(id + 1);
+        if self.len() * 2 > self.slots.len() {
+            self.grow();
+        }
+        id
+    }
+
+    fn grow(&mut self) {
+        let mut slots = vec![0u64; self.slots.len() * 2];
+        let mask = slots.len() - 1;
+        for id in 0..self.len() as u32 {
+            let hash = self.hash(self.term(id));
+            let mut slot = hash as usize & mask;
+            while slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            slots[slot] = hash & Self::TAG | u64::from(id + 1);
+        }
+        self.slots = slots;
+    }
+}
+
+/// Per local term id. While tokens stream in it counts, so `build` can size
+/// every run before placing anything; `build` then turns the counts into
+/// write cursors (the next free posting and position slot of the run).
+#[derive(Debug, Clone, Copy, Default)]
 struct TermAcc {
-    docs: Vec<DocKey>,
-    counts: Vec<u32>,
-    positions: Vec<u32>,
+    /// 1-based sequence number of the last state the term was seen in.
+    last_state: u32,
+    postings: u32,
+    positions: u32,
 }
 
 /// Builds an [`InvertedIndex`] from crawled application models — the
 /// "Build New Index" operation of thesis §8.3.1.
 ///
-/// Terms are interned into the builder's dictionary **as they stream out of
-/// the tokenizer** — one `String` allocation per *distinct* term, not one
-/// per occurrence — and per-state grouping runs over reusable scratch
-/// buffers instead of a fresh `HashMap` per state.
+/// `add_model` reads each state's text once: the tokenizer hands out
+/// borrowed slices, the [`Interner`] turns each into a local id, and the id
+/// goes onto one token log — a token's position is its index within its
+/// state's stretch of the log. `build` places every token straight into the
+/// final columns (a counting sort by term), so no posting is staged per term.
 #[derive(Debug, Default)]
 pub struct IndexBuilder {
-    /// term → local id, first-seen order (re-ranked at `build`).
-    interner: HashMap<String, u32>,
-    /// local id → term.
-    terms: Vec<String>,
+    interner: Interner,
+    /// Per local id.
     accs: Vec<TermAcc>,
+    /// The local id of every indexed token, state after state.
+    tokens: Vec<u32>,
+    /// Every indexed state with its token count, in arrival order (which is
+    /// doc order: pages in sequence, states in id order).
+    states: Vec<(DocKey, u32)>,
     pages: Vec<PageEntry>,
-    total_states: u64,
     /// Cap on states indexed per page ("Max. State ID" in the thesis UI):
     /// `None` = all crawled states.
     max_states: Option<usize>,
-    // --- reusable scratch (cleared, never shrunk, between states) ---
+    /// The tokenizer's buffer for tokens it has to lower-case.
     token_scratch: String,
-    /// Per local id: positions seen in the current state.
-    state_positions: Vec<Vec<u32>>,
-    /// Local ids with at least one occurrence in the current state.
-    touched: Vec<u32>,
 }
 
 impl IndexBuilder {
@@ -845,55 +958,36 @@ impl IndexBuilder {
         };
 
         for state in model.states.iter().take(limit) {
-            let doc = DocKey {
-                page: page_idx,
-                state: state.id,
-            };
-            let mut token_count = 0u32;
-
-            // Stream tokens straight into the interner; group positions per
-            // term in the reusable scratch columns.
+            let seq = u32::try_from(self.states.len() + 1).expect("state count exceeds u32");
+            let first_token = self.tokens.len();
             let interner = &mut self.interner;
-            let terms = &mut self.terms;
             let accs = &mut self.accs;
-            let state_positions = &mut self.state_positions;
-            let touched = &mut self.touched;
-            for_each_token(&state.text, &mut self.token_scratch, |term, position| {
-                token_count += 1;
-                let id = match interner.get(term) {
-                    Some(&id) => id,
-                    None => {
-                        let id = terms.len() as u32;
-                        interner.insert(term.to_string(), id);
-                        terms.push(term.to_string());
-                        accs.push(TermAcc::default());
-                        state_positions.push(Vec::new());
-                        id
-                    }
-                };
-                let slot = &mut state_positions[id as usize];
-                if slot.is_empty() {
-                    touched.push(id);
+            let tokens = &mut self.tokens;
+            // The tokenizer's position is the token's index in this state's
+            // stretch of the log, so the log need not hold it.
+            for_each_token(&state.text, &mut self.token_scratch, |term, _| {
+                let id = interner.intern(term);
+                if id as usize == accs.len() {
+                    accs.push(TermAcc::default());
                 }
-                slot.push(position);
+                let acc = &mut accs[id as usize];
+                if acc.last_state != seq {
+                    acc.last_state = seq;
+                    acc.postings += 1;
+                }
+                acc.positions += 1;
+                tokens.push(id);
             });
-
+            let token_count = u32::try_from(self.tokens.len() - first_token)
+                .expect("state token count exceeds u32");
             entry.state_lengths.push(token_count);
-            self.total_states += 1;
-
-            // Flush the state's groups into the per-term accumulators.
-            // `touched` order is first-occurrence order, which is irrelevant:
-            // each term gains exactly one posting for this doc, and docs
-            // arrive in increasing order per term.
-            for &id in self.touched.iter() {
-                let slot = &mut self.state_positions[id as usize];
-                let acc = &mut self.accs[id as usize];
-                acc.docs.push(doc);
-                acc.counts.push(slot.len() as u32);
-                acc.positions.extend_from_slice(slot);
-                slot.clear();
-            }
-            self.touched.clear();
+            self.states.push((
+                DocKey {
+                    page: page_idx,
+                    state: state.id,
+                },
+                token_count,
+            ));
         }
         self.pages.push(entry);
     }
@@ -906,9 +1000,9 @@ impl IndexBuilder {
     }
 
     /// Finalizes the index: re-ranks local term ids into sorted dictionary
-    /// order and lays the accumulators out as the canonical columns. Linear
-    /// in total postings plus `T log T` for the dictionary sort. Fails with
-    /// a typed error if the posting or position totals outgrow the `u32`
+    /// order and lays the token log out as the canonical columns. Linear in
+    /// total tokens plus `T log T` for the dictionary sort. Fails with a
+    /// typed error if the posting or position totals outgrow the `u32`
     /// offset space — previously those casts wrapped silently.
     pub fn try_build(self) -> Result<InvertedIndex, IndexBuildError> {
         self.try_build_with_limit(U32_LIMIT)
@@ -917,37 +1011,67 @@ impl IndexBuilder {
     /// [`IndexBuilder::try_build`] with an injectable offset limit so the
     /// guard is testable without allocating 4 GiB of postings.
     pub(crate) fn try_build_with_limit(self, limit: u64) -> Result<InvertedIndex, IndexBuildError> {
-        let mut order: Vec<u32> = (0..self.terms.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| self.terms[a as usize].cmp(&self.terms[b as usize]));
-
-        let n_postings: u64 = self.accs.iter().map(|a| a.docs.len() as u64).sum();
-        let n_positions: u64 = self.accs.iter().map(|a| a.positions.len() as u64).sum();
+        let n_postings: u64 = self.accs.iter().map(|a| u64::from(a.postings)).sum();
         check_fits("postings", n_postings, limit)?;
-        check_fits("positions", n_positions, limit)?;
+        check_fits("positions", self.tokens.len() as u64, limit)?;
         check_fits("pages", self.pages.len() as u64, limit)?;
+        debug_assert!(
+            self.states.windows(2).all(|w| w[0].0 < w[1].0),
+            "states must arrive in doc order: every term's run is born sorted"
+        );
 
+        let interner = &self.interner;
+        let mut order: Vec<u32> = (0..interner.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| interner.term(a).cmp(interner.term(b)));
+
+        // Walk the terms in dictionary order and turn each local id's counts
+        // into cursors: where its posting run and its stretch of the
+        // position arena start.
         let mut terms = Vec::with_capacity(order.len());
         let mut term_offsets = Vec::with_capacity(order.len() + 1);
         term_offsets.push(0u32);
-        let mut docs = Vec::with_capacity(n_postings as usize);
-        let mut counts = Vec::with_capacity(n_postings as usize);
-        let mut pos_offsets = Vec::with_capacity(n_postings as usize);
-        let mut positions = Vec::with_capacity(n_positions as usize);
-
+        let mut cursors = self.accs;
+        let (mut posting, mut position) = (0u32, 0u32);
         for &local in &order {
-            let acc = &self.accs[local as usize];
-            terms.push(self.terms[local as usize].clone());
-            debug_assert!(acc.docs.windows(2).all(|w| w[0] < w[1]));
-            let mut local_off = 0usize;
-            for (i, &doc) in acc.docs.iter().enumerate() {
-                let count = acc.counts[i] as usize;
-                docs.push(doc);
-                counts.push(acc.counts[i]);
-                pos_offsets.push(positions.len() as u32);
-                positions.extend_from_slice(&acc.positions[local_off..local_off + count]);
-                local_off += count;
+            terms.push(interner.term(local).to_string());
+            let run = TermAcc {
+                last_state: 0,
+                postings: posting,
+                positions: position,
+            };
+            let counted = std::mem::replace(&mut cursors[local as usize], run);
+            posting += counted.postings;
+            position += counted.positions;
+            term_offsets.push(posting);
+        }
+
+        // One pass over the log places every token. States come in doc
+        // order, so each term's postings land doc-sorted, and a posting's
+        // positions land ascending and contiguous.
+        let zero = DocKey {
+            page: 0,
+            state: StateId(0),
+        };
+        let mut docs = vec![zero; n_postings as usize];
+        let mut counts = vec![0u32; n_postings as usize];
+        let mut pos_offsets = vec![0u32; n_postings as usize];
+        let mut positions = vec![0u32; self.tokens.len()];
+        let mut log = self.tokens.as_slice();
+        for (seq, &(doc, token_count)) in (1u32..).zip(&self.states) {
+            let (state_tokens, rest) = log.split_at(token_count as usize);
+            log = rest;
+            for (at, &id) in (0u32..).zip(state_tokens) {
+                let cursor = &mut cursors[id as usize];
+                if cursor.last_state != seq {
+                    cursor.last_state = seq;
+                    docs[cursor.postings as usize] = doc;
+                    pos_offsets[cursor.postings as usize] = cursor.positions;
+                    cursor.postings += 1;
+                }
+                counts[cursor.postings as usize - 1] += 1;
+                positions[cursor.positions as usize] = at;
+                cursor.positions += 1;
             }
-            term_offsets.push(docs.len() as u32);
         }
 
         Ok(InvertedIndex {
@@ -959,17 +1083,20 @@ impl IndexBuilder {
                 pos_offsets,
                 positions,
             }),
+            total_states: self.states.len() as u64,
             pages: self.pages,
-            total_states: self.total_states,
         })
     }
 }
 
 /// Minimum prospective state count for the parallel segment build to pay
 /// off. Below this, thread spawn plus the k-way merge pass costs more than
-/// the inversion it parallelizes — measured on both synthetic sites (68.3 ms
-/// parallel vs 62.2 ms serial on vidshare, 94.7 vs 80.9 on news, both well
-/// under this many states), so small corpora take the serial path.
+/// the inversion it parallelizes. Measured on VidShare with two threads on
+/// two cores, unpinned, best and median of 15 builds: 400 pages (1 599
+/// states) 19.4 / 22.2 ms serial vs 24.7 / 34.1 ms parallel; 2 000 pages
+/// (7 999 states, just under this) 97.8 / 116.9 ms serial vs 82.4 / 163.8 ms
+/// parallel — the best parallel run leads, the median trails. So small
+/// corpora take the serial path.
 pub const PARALLEL_BUILD_MIN_STATES: usize = 8192;
 
 /// Which build strategy [`build_index_parallel`] will actually run.

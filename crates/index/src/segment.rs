@@ -80,17 +80,15 @@ pub(crate) fn u32_at(bytes: &[u8], idx: usize) -> u32 {
     u32::from_le_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]])
 }
 
-/// Appends `v` as LEB128.
+/// Appends `v` as LEB128. Nearly every value a segment holds — page and
+/// state deltas, fused counts, position deltas — fits one byte.
+#[inline]
 pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
     }
+    out.push(v as u8);
 }
 
 /// Reads one LEB128 value at `*cursor`, advancing it. The caller guarantees
@@ -110,12 +108,10 @@ pub(crate) fn read_varint(bytes: &[u8], cursor: &mut usize) -> u64 {
     }
 }
 
-fn u32s_to_le(values: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
+fn extend_u32s_le(out: &mut Vec<u8>, values: &[u32]) {
     for v in values {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    out
 }
 
 fn checked_u32(len: usize, column: &'static str) -> Result<u32, IndexBuildError> {
@@ -146,13 +142,13 @@ pub(crate) fn encode(index: &InvertedIndex) -> Result<Vec<u8>, IndexBuildError> 
 
     // S4 posting records + S6 position stream, one pass per term run; S1
     // tracks run byte bounds and S5 the per-term position-stream bounds.
-    let mut postings_stream = Vec::new();
-    let mut pos_stream = Vec::new();
+    // Sized for the common case of one-byte varints; longer ones grow it.
+    let mut postings_stream = Vec::with_capacity(n_postings * 3);
+    let mut pos_stream = Vec::with_capacity(store.positions.len() + store.positions.len() / 8);
     let mut run_offsets = Vec::with_capacity(n_terms + 1);
     let mut term_pos_offsets = Vec::with_capacity(n_terms + 1);
     run_offsets.push(0u32);
     term_pos_offsets.push(0u32);
-    let mut pos_buf = Vec::new();
     for t in 0..n_terms {
         let start = store.term_offsets[t] as usize;
         let end = store.term_offsets[t + 1] as usize;
@@ -161,38 +157,32 @@ pub(crate) fn encode(index: &InvertedIndex) -> Result<Vec<u8>, IndexBuildError> 
             state: StateId(0),
         };
         for i in start..end {
-            // The posting's position slice, delta+varint, staged so its byte
-            // length can go into the record.
-            pos_buf.clear();
+            // The posting's positions go to S6 first; the stream's growth
+            // is the byte length its record carries.
+            let pos_start = pos_stream.len();
             let o = store.pos_offsets[i] as usize;
-            let c = store.counts[i] as usize;
+            let count = store.counts[i];
             let mut pp = 0u32;
-            for (j, &p) in store.positions[o..o + c].iter().enumerate() {
-                let delta = if j == 0 { p } else { p - pp };
-                write_varint(&mut pos_buf, u64::from(delta));
+            for &p in &store.positions[o..o + count as usize] {
+                write_varint(&mut pos_stream, u64::from(p - pp));
                 pp = p;
             }
 
             let d = store.docs[i];
-            if i == start {
-                write_varint(&mut postings_stream, u64::from(d.page));
-                write_varint(&mut postings_stream, u64::from(d.state.0));
+            let page_delta = d.page - prev.page;
+            write_varint(&mut postings_stream, u64::from(page_delta));
+            let state = if page_delta == 0 && i > start {
+                d.state.0 - prev.state.0
             } else {
-                let page_delta = d.page - prev.page;
-                write_varint(&mut postings_stream, u64::from(page_delta));
-                if page_delta == 0 {
-                    write_varint(&mut postings_stream, u64::from(d.state.0 - prev.state.0));
-                } else {
-                    write_varint(&mut postings_stream, u64::from(d.state.0));
-                }
-            }
-            let extra = pos_buf.len() as u64 - u64::from(store.counts[i]);
-            let g = (u64::from(store.counts[i]) - 1) << 1 | u64::from(extra > 0);
+                d.state.0
+            };
+            write_varint(&mut postings_stream, u64::from(state));
+            let extra = (pos_stream.len() - pos_start) as u64 - u64::from(count);
+            let g = (u64::from(count) - 1) << 1 | u64::from(extra > 0);
             write_varint(&mut postings_stream, g);
             if extra > 0 {
                 write_varint(&mut postings_stream, extra);
             }
-            pos_stream.extend_from_slice(&pos_buf);
             prev = d;
         }
         run_offsets.push(checked_u32(postings_stream.len(), "postings_stream")?);
@@ -242,23 +232,19 @@ pub(crate) fn encode(index: &InvertedIndex) -> Result<Vec<u8>, IndexBuildError> 
         }
     }
 
-    let s0 = u32s_to_le(&store.term_offsets);
-    let s1 = u32s_to_le(&run_offsets);
-    let s2 = u32s_to_le(&block_offsets);
-    let s5 = u32s_to_le(&term_pos_offsets);
-    let sections: [&[u8]; SECTION_COUNT] = [
-        &s0,
-        &s1,
-        &s2,
-        &dict_data,
-        &postings_stream,
-        &s5,
-        &pos_stream,
-        &pages_bytes,
+    // Section byte lengths, S0..S7.
+    let lens: [usize; SECTION_COUNT] = [
+        store.term_offsets.len() * 4,
+        run_offsets.len() * 4,
+        block_offsets.len() * 4,
+        dict_data.len(),
+        postings_stream.len(),
+        term_pos_offsets.len() * 4,
+        pos_stream.len(),
+        pages_bytes.len(),
     ];
-
-    let body: usize = sections.iter().map(|s| s.len()).sum();
-    let mut out = Vec::with_capacity(PREFIX_LEN + body);
+    let total = PREFIX_LEN + lens.iter().sum::<usize>();
+    let mut out = Vec::with_capacity(total);
     out.extend_from_slice(&SEGMENT_MAGIC);
     out.extend_from_slice(&(n_terms as u32).to_le_bytes());
     out.extend_from_slice(&(n_postings as u32).to_le_bytes());
@@ -266,14 +252,22 @@ pub(crate) fn encode(index: &InvertedIndex) -> Result<Vec<u8>, IndexBuildError> 
     out.extend_from_slice(&(DICT_BLOCK as u32).to_le_bytes());
     out.extend_from_slice(&index.total_states.to_le_bytes());
     let mut offset = PREFIX_LEN as u64;
-    for s in &sections {
+    for len in lens {
         out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-        offset += s.len() as u64;
+        out.extend_from_slice(&(len as u64).to_le_bytes());
+        offset += len as u64;
     }
-    for s in &sections {
-        out.extend_from_slice(s);
-    }
+    // The fixed-width columns are written out as they stand; only the four
+    // byte streams were staged (S4 and S6 grow side by side).
+    extend_u32s_le(&mut out, &store.term_offsets);
+    extend_u32s_le(&mut out, &run_offsets);
+    extend_u32s_le(&mut out, &block_offsets);
+    out.extend_from_slice(&dict_data);
+    out.extend_from_slice(&postings_stream);
+    extend_u32s_le(&mut out, &term_pos_offsets);
+    out.extend_from_slice(&pos_stream);
+    out.extend_from_slice(&pages_bytes);
+    debug_assert_eq!(out.len(), total, "section table matches the bytes");
     Ok(out)
 }
 

@@ -7,30 +7,83 @@ pub struct TokenAt {
     pub position: u32,
 }
 
-/// Streams the lowercase alphanumeric tokens of `text` through `f` without
-/// allocating a `String` per token: each token is built in `scratch` (reused
-/// across calls — the builder hands the same buffer to every state) and
-/// handed to `f` as a borrowed `&str` with its 0-based position.
-///
+/// Byte classes of the scan: ASCII that separates tokens, ASCII a token
+/// takes as it stands (digits, lower-case letters), ASCII to lower-case
+/// first, and everything from 0x80 up.
+const SEPARATOR: u8 = 0;
+const PLAIN: u8 = 1;
+const UPPER: u8 = 2;
+const WIDE: u8 = 3;
+
+static BYTE_CLASS: [u8; 256] = {
+    let mut table = [SEPARATOR; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b as u8 {
+            b'0'..=b'9' | b'a'..=b'z' => PLAIN,
+            b'A'..=b'Z' => UPPER,
+            0x80..=0xFF => WIDE,
+            _ => SEPARATOR,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// Streams the lowercase alphanumeric tokens of `text` through `f`, each
+/// with its 0-based position, without allocating a `String` per token.
 /// Everything that is not alphanumeric separates tokens; tokens are
 /// lowercased (ASCII + Unicode via `char::to_lowercase`).
+///
+/// The scan runs on bytes. A token of digits and lower-case ASCII — nearly
+/// all of crawled state text — reaches `f` as a slice of `text` itself. One
+/// with upper-case ASCII is lower-cased in `scratch` (reused across calls),
+/// and only from a non-ASCII byte to the end of its token does the loop
+/// decode `char`s and ask Unicode.
 pub fn for_each_token(text: &str, scratch: &mut String, mut f: impl FnMut(&str, u32)) {
-    scratch.clear();
+    let bytes = text.as_bytes();
     let mut position = 0u32;
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            for lower in ch.to_lowercase() {
-                scratch.push(lower);
+    let mut i = 0;
+    while i < bytes.len() {
+        // The ASCII part of a token: [start, i).
+        let start = i;
+        let mut upper = false;
+        let stop = loop {
+            let class = bytes.get(i).map_or(SEPARATOR, |&b| BYTE_CLASS[b as usize]);
+            match class {
+                PLAIN => {}
+                UPPER => upper = true,
+                stop => break stop,
             }
-        } else if !scratch.is_empty() {
+            i += 1;
+        };
+        if stop == SEPARATOR && !upper {
+            if i > start {
+                f(&text[start..i], position);
+                position += 1;
+            }
+            i += 1;
+            continue;
+        }
+        scratch.clear();
+        scratch.push_str(&text[start..i]);
+        scratch.make_ascii_lowercase();
+        if stop == WIDE {
+            // `i` is on a lead byte: the rest of the token char by char.
+            for ch in text[i..].chars() {
+                i += ch.len_utf8();
+                if !ch.is_alphanumeric() {
+                    break;
+                }
+                scratch.extend(ch.to_lowercase());
+            }
+        } else {
+            i += 1;
+        }
+        if !scratch.is_empty() {
             f(scratch, position);
-            scratch.clear();
             position += 1;
         }
-    }
-    if !scratch.is_empty() {
-        f(scratch, position);
-        scratch.clear();
     }
 }
 

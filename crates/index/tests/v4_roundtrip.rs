@@ -209,3 +209,84 @@ fn empty_index_roundtrips() {
     assert_eq!(built, loaded.into_owned());
     let _ = std::fs::remove_file(&path);
 }
+
+// ------------------------------------------------------------ pinned bytes
+
+/// Small fixed crawls of the three webgen sites, the way
+/// `tests/tests/transition_targets.rs` pins them.
+mod sites {
+    use ajax_crawl::crawler::{CrawlConfig, Crawler};
+    use ajax_crawl::model::AppModel;
+    use ajax_net::{LatencyModel, Server, Url};
+    use ajax_webgen::{
+        video_meta, GalleryServer, GallerySpec, NewsShareServer, NewsSpec, VidShareServer,
+        VidShareSpec,
+    };
+    use std::sync::Arc;
+
+    fn crawl(server: Arc<dyn Server>, urls: &[String], config: CrawlConfig) -> Vec<AppModel> {
+        let mut crawler = Crawler::new(server, LatencyModel::Fixed(5_000), config);
+        urls.iter()
+            .map(|u| crawler.crawl_page(&Url::parse(u)).expect("crawl").model)
+            .collect()
+    }
+
+    pub fn vidshare() -> Vec<AppModel> {
+        let spec = VidShareSpec::small(40);
+        let urls: Vec<String> = (0..40)
+            .filter(|&v| video_meta(&spec, v).comment_pages >= 3)
+            .take(4)
+            .map(|v| spec.watch_url(v))
+            .collect();
+        crawl(
+            Arc::new(VidShareServer::new(spec)),
+            &urls,
+            CrawlConfig::ajax(),
+        )
+    }
+
+    pub fn newsshare() -> Vec<AppModel> {
+        let spec = NewsSpec::small(30);
+        let urls: Vec<String> = [3, 7].iter().map(|&p| spec.page_url(p)).collect();
+        crawl(
+            Arc::new(NewsShareServer::new(spec)),
+            &urls,
+            CrawlConfig::ajax().with_max_states(20),
+        )
+    }
+
+    pub fn gallery() -> Vec<AppModel> {
+        let spec = GallerySpec::small(6);
+        let urls: Vec<String> = (0..3).map(|a| spec.page_url(a)).collect();
+        crawl(
+            Arc::new(GalleryServer::new(spec)),
+            &urls,
+            CrawlConfig::ajax().with_equiv_prune(),
+        )
+    }
+}
+
+/// The saved v4 artifact of each site's small crawl, pinned by length and
+/// CRC32 of the whole file (frame header, segment, end marker). Recorded at
+/// `12ef942`, before the write side was rebuilt: the builder, the encoder,
+/// the checksum and the frame writer may change how they work, never what
+/// they write.
+#[test]
+fn saved_v4_bytes_are_pinned_per_site() {
+    let pinned: [(&str, Vec<AppModel>, usize, u32); 3] = [
+        ("vidshare", sites::vidshare(), 22_690, 2_021_488_302),
+        ("newsshare", sites::newsshare(), 16_119, 967_533_723),
+        ("gallery", sites::gallery(), 4_574, 861_284_593),
+    ];
+    let mut saved = Vec::new();
+    let mut expected = Vec::new();
+    for (site, models, len, crc) in pinned {
+        let path = scratch_path(site);
+        save_index(&path, &build(&models)).expect("save v4");
+        let bytes = std::fs::read(&path).expect("read artifact");
+        let _ = std::fs::remove_file(&path);
+        saved.push((site, bytes.len(), ajax_crawl::durable::crc32(&bytes)));
+        expected.push((site, len, crc));
+    }
+    assert_eq!(saved, expected, "saved v4 bytes moved");
+}
