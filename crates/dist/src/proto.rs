@@ -18,7 +18,8 @@
 //! | 5 | `Error` | `id u64`, `message: string` |
 //!
 //! A `Reply` names each URL once: consecutive results with the same URL (a
-//! shard emits a page's states back to back) share one `urls` entry.
+//! shard emits a page's states back to back) share one `urls` entry, and the
+//! decoder shares one `Arc<str>` per entry among the results that name it.
 //!
 //! Version 1 carried the same messages as JSON after the kind byte. Printing
 //! and parsing shortest-round-trip `f64` text was ~90 % of a distributed
@@ -37,6 +38,7 @@
 use ajax_crawl::StateId;
 use ajax_index::{DocKey, Query, RankWeights, ShardResult, ShardTermStats};
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 /// Protocol version, exchanged in [`ShardInfo`] at handshake.
 pub const PROTO_VERSION: u64 = 2;
@@ -139,8 +141,10 @@ fn put_reply(buf: &mut Vec<u8>, m: &EvalReply) -> io::Result<()> {
     }
     // The URL table, then the results pointing into it. Both passes apply
     // the same rule: a result whose URL equals its predecessor's shares the
-    // predecessor's entry.
-    let starts_url = |i: usize| i == 0 || m.results[i].url != m.results[i - 1].url;
+    // predecessor's entry. Results of one page usually share one `Arc`, so
+    // the pointers are compared before the bytes.
+    let same_url = |a: &Arc<str>, b: &Arc<str>| Arc::ptr_eq(a, b) || a == b;
+    let starts_url = |i: usize| i == 0 || !same_url(&m.results[i].url, &m.results[i - 1].url);
     put_len(buf, (0..m.results.len()).filter(|&i| starts_url(i)).count())?;
     for (i, r) in m.results.iter().enumerate() {
         if starts_url(i) {
@@ -304,7 +308,7 @@ fn get_reply(p: &mut Payload<'_>) -> io::Result<EvalReply> {
     let id = p.u64()?;
     let total_states = p.u64()?;
     let df = p.list(8, Payload::u64)?;
-    let urls = p.list(4, Payload::str)?;
+    let urls = p.list(4, |p| p.str().map(Arc::<str>::from))?;
     let results = p.list(MIN_RESULT_BYTES, |p| {
         let shard = p.u32()? as usize;
         let url = p.u32()? as usize;
@@ -313,7 +317,7 @@ fn get_reply(p: &mut Payload<'_>) -> io::Result<EvalReply> {
             .ok_or_else(|| invalid(format!("url {url} of a table of {}", urls.len())))?;
         Ok(ShardResult {
             shard,
-            url: (*url).to_string(),
+            url: Arc::clone(url),
             doc: DocKey {
                 page: p.u32()?,
                 state: StateId(p.u32()?),

@@ -143,7 +143,7 @@ fn any_result() -> impl Strategy<Value = ShardResult> {
     )
         .prop_map(|(shard, url, (page, state), base_score, tfs)| ShardResult {
             shard,
-            url,
+            url: url.into(),
             doc: DocKey {
                 page,
                 state: StateId(state),

@@ -388,7 +388,7 @@ impl AjaxSearchEngine {
         let model = self
             .models
             .iter()
-            .find(|m| m.url == result.url)
+            .find(|m| *m.url == *result.url)
             .ok_or(ReplayError::NoPageHtml)?;
         reconstruct_state(model, result.doc.state)
     }

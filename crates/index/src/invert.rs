@@ -45,6 +45,7 @@ use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
+use std::sync::Arc;
 
 /// Identifies one indexed document: a `(page, state)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -252,7 +253,8 @@ impl TermScratch {
 /// Per-page metadata.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PageEntry {
-    pub url: String,
+    /// Made once per page; every result on the page shares it.
+    pub url: Arc<str>,
     /// PageRank of the URL (uniform if no precrawl data was supplied).
     pub pagerank: f64,
     /// AJAXRank per state (indexed by state id).
@@ -951,7 +953,7 @@ impl IndexBuilder {
         let ajaxrank = pagerank_default(&model.state_adjacency());
 
         let mut entry = PageEntry {
-            url: model.url.clone(),
+            url: model.url.as_str().into(),
             pagerank: pagerank.unwrap_or(0.0),
             ajaxrank,
             state_lengths: Vec::with_capacity(limit),

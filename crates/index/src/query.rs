@@ -173,6 +173,7 @@ fn score_matches(
         events,
         term_counts,
         term_bufs,
+        ..
     } = scratch;
     if term_bufs.len() < query.terms.len() {
         term_bufs.resize_with(query.terms.len(), TermScratch::default);

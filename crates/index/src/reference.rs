@@ -95,7 +95,7 @@ impl RefIndexBuilder {
         let ajaxrank = pagerank_default(&model.state_adjacency());
 
         let mut entry = PageEntry {
-            url: model.url.clone(),
+            url: model.url.as_str().into(),
             pagerank: pagerank.unwrap_or(0.0),
             ajaxrank,
             state_lengths: Vec::with_capacity(limit),
@@ -142,7 +142,7 @@ impl RefIndexBuilder {
 
 // The one deliberate deviation from the frozen code: the rank comparator
 // moved to `f64::total_cmp` in lockstep with the engine (`query::rank_cmp`,
-// `shard::compare_broker_results`). Both sides must use the same total
+// the broker's rank order in `shard.rs`). Both sides must use the same total
 // order or NaN-scored ties (degenerate weights) would order differently
 // and break the bit-identity contract.
 fn compare_results(a: &SearchResult, b: &SearchResult) -> std::cmp::Ordering {
@@ -355,7 +355,7 @@ pub fn ref_broker_search(
                 .unwrap_or(0);
             BrokerResult {
                 shard,
-                url: r.url,
+                url: r.url.into(),
                 doc: r.doc,
                 score: r.score,
             }

@@ -774,7 +774,7 @@ pub(crate) fn open(frame: Arc<MappedFrame>) -> Result<InvertedIndex, String> {
             let url_len = r.varint()? as usize;
             let url = std::str::from_utf8(r.take(url_len)?)
                 .map_err(|_| format!("page {p} URL is not valid UTF-8"))?
-                .to_string();
+                .into();
             let pagerank = r.f64()?;
             let n_ajax = r.varint()? as usize;
             let mut ajaxrank = Vec::with_capacity(n_ajax.min(1 << 20));

@@ -2,34 +2,35 @@
 //!
 //! The parallel architecture builds **one inverted file per partition**.
 //! A query is shipped to every shard; each shard evaluates the conjunction
-//! locally and returns results scored with its *local* components (PageRank,
+//! locally and scores every hit with its *local* components (PageRank,
 //! AJAXRank, proximity) plus the raw per-term `tf` values and its
 //! `(state count, df)` statistics. The broker computes the **global idf**
 //! from the summed counts (the formula worked in §6.5.2), completes each
-//! result's score with `w3·Σ tf·idf`, merges and re-sorts — Steps 1 and 2 of
+//! hit's score with `w3·Σ tf·idf`, merges and ranks — Steps 1 and 2 of
 //! Fig 6.4.
 //!
-//! Shard provenance travels **inside** [`ShardResult`] from evaluation to
-//! the merged [`BrokerResult`]; the merge no longer rebuilds a
-//! `(url, doc) → shard` hash map per query.
+//! [`QueryBroker::search`], [`merge_shard_outputs`] and the serving paths
+//! built on [`eval_shard`] run the same three pieces: one scoring loop, one
+//! score completion and one total rank order. A hit stays numbers until it
+//! is returned: the broker keeps a query's hits in one flat buffer and
+//! ranks them in place, and a result shares its page's URL with the index
+//! (an `Arc<str>` made once per page) instead of copying it.
 
 use crate::invert::{DocKey, InvertedIndex, PostingList, TermScratch};
 use crate::kernel::{self, ScoreScratch};
-use crate::probe;
 use crate::query::{Query, RankWeights};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-/// A shard-local result before the global tf·idf completion.
-///
-/// Carries the owned `url` because shard evaluation runs on worker threads
-/// that cannot hand out borrows of their index snapshot — the URL string is
-/// part of the wire format between worker and merger. This is the one
-/// per-result allocation the distributed path keeps.
+/// A shard-local result before the global tf·idf completion — the owned
+/// per-shard batch that serving workers and shard servers hand to the
+/// merger across a thread or the wire.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardResult {
     pub shard: usize,
-    pub url: String,
+    /// The page's URL, shared with the index (or the reply) it came from.
+    pub url: Arc<str>,
     pub doc: DocKey,
     /// `w1·PageRank + w2·AJAXRank + w4·proximity` — everything computable
     /// locally.
@@ -51,7 +52,7 @@ pub struct ShardTermStats {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BrokerResult {
     pub shard: usize,
-    pub url: String,
+    pub url: Arc<str>,
     pub doc: DocKey,
     pub score: f64,
 }
@@ -122,34 +123,94 @@ impl QueryBroker {
     }
 
     /// Full distributed evaluation: ship, collect, complete scores with the
-    /// global tf·idf (Step 1 of Fig 6.4), merge and sort (Step 2).
+    /// global tf·idf (Step 1 of Fig 6.4), merge and rank (Step 2).
     ///
-    /// `ajax_serve` runs the same two halves — [`eval_shard`] on worker
-    /// threads and [`merge_shard_outputs`] on the caller — so the parallel
-    /// path is result-identical (bit-for-bit scores) to this sequential one.
+    /// Every shard's hits go into one per-query buffer — one result per hit,
+    /// its score the local base until completed, and one flat run of `k` tfs
+    /// per hit — so no per-shard result batch is built. `ajax_serve` runs
+    /// the same scoring loop through [`eval_shard`] on worker threads and the
+    /// same completion and rank order through [`merge_shard_outputs`], so
+    /// both paths return the same results, score bits included.
     pub fn search(&self, query: &Query) -> Vec<BrokerResult> {
         if query.is_empty() {
             return Vec::new();
         }
         let mut scratch = ScoreScratch::new();
-        let mut all_results = Vec::new();
-        let mut all_stats = Vec::with_capacity(self.shards.len());
-        for (shard_idx, shard) in self.shards.iter().enumerate() {
-            let (results, stats) =
-                eval_shard_with_scratch(shard, shard_idx, query, &self.weights, &mut scratch);
-            all_results.extend(results);
-            all_stats.push(stats);
+        let mut hits = Vec::new();
+        let stats: Vec<ShardTermStats> = (self.shards.iter().enumerate())
+            .map(|(i, shard)| {
+                score_shard(shard, query, &self.weights, &mut scratch, |doc, base, _| {
+                    let url = Arc::clone(&shard.pages[doc.page as usize].url);
+                    hits.push(BrokerResult {
+                        shard: i,
+                        url,
+                        doc,
+                        score: base,
+                    });
+                })
+            })
+            .collect();
+        let idf = Self::global_idf(query, &stats);
+        let tfs = scratch.tfs.chunks_exact(query.terms.len());
+        for (hit, tfs) in hits.iter_mut().zip(tfs) {
+            hit.score = complete(hit.score, tfs, &idf, &self.weights);
         }
-        merge_shard_outputs(query, &self.weights, all_results, &all_stats)
+        rank(&mut hits);
+        hits
     }
 }
 
-/// Evaluates a query on one shard — the "query shipping" leg, exposed as a
-/// free function so a serving layer can run it on worker threads without
-/// borrowing the whole broker. The query arrives already parsed and
-/// normalized (tokenization happens once per query, not once per shard), and
-/// each term's posting run is fetched exactly once, serving both the df
-/// statistic and the conjunction merge.
+/// The one scoring loop. Intersects `query`'s posting runs on `shard` and,
+/// for every hit in ascending doc order, appends the hit's normalized tf per
+/// query term to `scratch.tfs` and calls `hit(doc, base, &mut scratch.tfs)`
+/// with `base = w1·PageRank + w2·AJAXRank + w4·proximity`. The query arrives
+/// already parsed and normalized (tokenization happens once per query, not
+/// once per shard), and each term's posting run is fetched exactly once,
+/// serving both the df statistic and the intersection.
+fn score_shard(
+    shard: &InvertedIndex,
+    query: &Query,
+    weights: &RankWeights,
+    scratch: &mut ScoreScratch,
+    mut hit: impl FnMut(DocKey, f64, &mut Vec<f64>),
+) -> ShardTermStats {
+    let ScoreScratch {
+        cursors,
+        events,
+        term_counts,
+        term_bufs,
+        tfs,
+        ..
+    } = scratch;
+    if term_bufs.len() < query.terms.len() {
+        term_bufs.resize_with(query.terms.len(), TermScratch::default);
+    }
+    let lists: Vec<PostingList<'_>> = query
+        .terms
+        .iter()
+        .zip(term_bufs.iter_mut())
+        .map(|(t, buf)| shard.postings_in(t, buf))
+        .collect();
+    kernel::for_each_match(&lists, cursors, |doc, rows| {
+        let (pagerank, ajaxrank) = shard.ranks_of(doc);
+        let proximity = kernel::proximity_of_rows(&lists, rows, events, term_counts);
+        tfs.extend(
+            (lists.iter().zip(rows)).map(|(list, &row)| shard.tf_parts(doc, list.count(row))),
+        );
+        let base = weights.pagerank * pagerank
+            + weights.ajaxrank * ajaxrank
+            + weights.proximity * proximity;
+        hit(doc, base, tfs);
+    });
+    ShardTermStats {
+        total_states: shard.total_states,
+        df: lists.iter().map(|l| l.len() as u64).collect(),
+    }
+}
+
+/// Evaluates a query on one shard into an owned batch — the "query
+/// shipping" leg, exposed as a free function so a serving layer can run it
+/// on worker threads without borrowing the whole broker.
 pub fn eval_shard(
     shard: &InvertedIndex,
     shard_idx: usize,
@@ -168,69 +229,55 @@ pub fn eval_shard_with_scratch(
     weights: &RankWeights,
     scratch: &mut ScoreScratch,
 ) -> (Vec<ShardResult>, ShardTermStats) {
-    let ScoreScratch {
-        cursors,
-        events,
-        term_counts,
-        term_bufs,
-        ..
-    } = scratch;
-    if term_bufs.len() < query.terms.len() {
-        term_bufs.resize_with(query.terms.len(), TermScratch::default);
-    }
-    let lists: Vec<PostingList<'_>> = query
-        .terms
-        .iter()
-        .zip(term_bufs.iter_mut())
-        .map(|(t, buf)| shard.postings_in(t, buf))
-        .collect();
-    let stats = ShardTermStats {
-        total_states: shard.total_states,
-        df: lists.iter().map(|l| l.len() as u64).collect(),
-    };
     let mut results = Vec::new();
-    kernel::for_each_match(&lists, cursors, |doc, rows| {
-        let (pagerank, ajaxrank) = shard.ranks_of(doc);
-        let proximity = kernel::proximity_of_rows(&lists, rows, events, term_counts);
-        probe::note_url_materialized();
+    scratch.tfs.clear();
+    let stats = score_shard(shard, query, weights, scratch, |doc, base_score, tfs| {
+        let url = Arc::clone(&shard.pages[doc.page as usize].url);
+        let tfs = std::mem::take(tfs);
         results.push(ShardResult {
             shard: shard_idx,
-            url: shard.url_of(doc).to_string(),
+            url,
             doc,
-            base_score: weights.pagerank * pagerank
-                + weights.ajaxrank * ajaxrank
-                + weights.proximity * proximity,
-            tfs: lists
-                .iter()
-                .enumerate()
-                .map(|(t, list)| shard.tf_parts(doc, list.count(rows[t])))
-                .collect(),
+            base_score,
+            tfs,
         });
     });
     (results, stats)
 }
 
-/// Rank order on broker results: score descending (by [`f64::total_cmp`],
-/// in lockstep with `query::rank_cmp` — both must stay total orders or the
-/// sequential and distributed paths can order NaN-scored ties differently),
-/// then URL, then state.
-fn compare_broker_results(a: &BrokerResult, b: &BrokerResult) -> Ordering {
-    b.score
-        .total_cmp(&a.score)
-        .then_with(|| a.url.cmp(&b.url))
-        .then_with(|| a.doc.state.cmp(&b.doc.state))
+/// A hit's formula-5.3 score: its local `base` plus `w3·Σ tf·idf` over the
+/// global idf, summed in term order.
+fn complete(base: f64, tfs: &[f64], idf: &[f64], weights: &RankWeights) -> f64 {
+    let tfidf: f64 = tfs.iter().zip(idf).map(|(tf, idf)| tf * idf).sum();
+    base + weights.tfidf * tfidf
 }
 
-/// The broker-side half of Fig 6.4: completes per-shard base scores with the
-/// global tf·idf, merges and sorts. Shared by [`QueryBroker::search`] and
-/// the `ajax-serve` worker-pool path so both produce identical
-/// floating-point results (same summation order).
-///
-/// Shard provenance rides along inside each [`ShardResult`] — no per-query
-/// `(url, doc) → shard` map is rebuilt here.
-///
-/// `all_results` must be ordered by shard index (shard 0's results first) for
-/// the ordering guarantee to hold.
+/// The one rank order of merged results, sorted in place: score descending
+/// (by [`f64::total_cmp`], in lockstep with `query::rank_cmp`), then URL
+/// bytes (not compared when both results share one URL), then state, shard
+/// and page. It is total over hits, which are distinct in `(shard, page,
+/// state)`, so an unstable sort is deterministic; on input in shard order,
+/// each shard's hits in doc order, it equals a stable sort on `(score, URL,
+/// state)`.
+fn rank(results: &mut [BrokerResult]) {
+    results.sort_unstable_by(|a, b| {
+        b.score
+            .total_cmp(&a.score)
+            .then_with(|| match Arc::ptr_eq(&a.url, &b.url) {
+                true => Ordering::Equal,
+                false => a.url.cmp(&b.url),
+            })
+            .then_with(|| a.doc.state.cmp(&b.doc.state))
+            .then_with(|| a.shard.cmp(&b.shard))
+            .then_with(|| a.doc.page.cmp(&b.doc.page))
+    });
+}
+
+/// The broker-side half of Fig 6.4 for owned per-shard batches: completes
+/// each base score with the global tf·idf and ranks, exactly as
+/// [`QueryBroker::search`] does, so the serving and distributed paths
+/// return its results bit for bit. Shard provenance rides along inside each
+/// [`ShardResult`].
 pub fn merge_shard_outputs(
     query: &Query,
     weights: &RankWeights,
@@ -238,20 +285,15 @@ pub fn merge_shard_outputs(
     all_stats: &[ShardTermStats],
 ) -> Vec<BrokerResult> {
     let idf = QueryBroker::global_idf(query, all_stats);
-
-    let mut merged: Vec<BrokerResult> = all_results
-        .into_iter()
-        .map(|r| {
-            let tfidf: f64 = r.tfs.iter().zip(idf.iter()).map(|(tf, idf)| tf * idf).sum();
-            BrokerResult {
-                shard: r.shard,
-                url: r.url,
-                doc: r.doc,
-                score: r.base_score + weights.tfidf * tfidf,
-            }
+    let mut merged: Vec<BrokerResult> = (all_results.into_iter())
+        .map(|r| BrokerResult {
+            score: complete(r.base_score, &r.tfs, &idf, weights),
+            shard: r.shard,
+            url: r.url,
+            doc: r.doc,
         })
         .collect();
-    merged.sort_by(compare_broker_results);
+    rank(&mut merged);
     merged
 }
 
@@ -336,7 +378,7 @@ mod tests {
                     "query {q:?}, per_shard {per_shard}"
                 );
                 for (m, r) in merged.iter().zip(reference.iter()) {
-                    assert_eq!(m.url, r.url, "query {q:?}");
+                    assert_eq!(*m.url, r.url, "query {q:?}");
                     assert_eq!(m.doc.state, r.doc.state);
                     assert!(
                         (m.score - r.score).abs() < 1e-9,
@@ -370,7 +412,11 @@ mod tests {
         let results = broker.search(&Query::parse("dance"));
         for r in &results {
             let shard = broker.shard(r.shard).unwrap();
-            assert_eq!(shard.url_of(r.doc), r.url, "provenance must be consistent");
+            assert_eq!(
+                shard.url_of(r.doc),
+                &*r.url,
+                "provenance must be consistent"
+            );
         }
         // "dance" occurs on pages 2 and 4, which live in shards 1 and 3.
         let shards: std::collections::BTreeSet<_> = results.iter().map(|r| r.shard).collect();

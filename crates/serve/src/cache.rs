@@ -171,7 +171,7 @@ mod tests {
     fn val(n: u64) -> Arc<Vec<BrokerResult>> {
         Arc::new(vec![BrokerResult {
             shard: 0,
-            url: format!("http://x/{n}"),
+            url: format!("http://x/{n}").into(),
             doc: DocKey {
                 page: n as u32,
                 state: ajax_crawl::StateId(0),

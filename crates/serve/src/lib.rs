@@ -24,11 +24,11 @@
 //!   worker pools or remote shard *processes* (`ajax-dist`) without
 //!   changing any edge logic.
 //!
-//! The worker path reuses [`ajax_index::eval_shard`] and
-//! [`ajax_index::merge_shard_outputs`] — the exact two halves
-//! `QueryBroker::search` is built from — and collects shard replies in shard
-//! order before merging, so parallel serving is **bit-for-bit identical** to
-//! sequential evaluation (same floating-point summation order).
+//! The worker path runs `QueryBroker::search`'s own scoring loop
+//! ([`ajax_index::eval_shard_with_scratch`], one scratch per worker) and
+//! [`ajax_index::merge_shard_outputs`] runs its score completion and rank
+//! order, so parallel serving is **bit-for-bit identical** to sequential
+//! evaluation (same floating-point expressions, one total rank order).
 
 pub mod cache;
 pub mod clock;

@@ -2,11 +2,11 @@
 //!
 //! Each shard owns one MPMC job queue (`Mutex<VecDeque>` + `Condvar`)
 //! consumed by `workers_per_shard` OS threads. [`PoolTransport::ship`]
-//! pushes one job per shard; each worker runs [`ajax_index::eval_shard`]
+//! pushes one job per shard; each worker runs
+//! [`ajax_index::eval_shard_with_scratch`] with its own scoring scratch
 //! against its shard's current index and delivers the outcome into the
 //! per-query [`Rendezvous`] slot indexed by shard, where the calling thread
-//! collects them **in shard order** before merging — preserving the
-//! sequential broker's summation order exactly.
+//! collects them before merging.
 //!
 //! Workers always deliver *something* for every job they pop — a result, a
 //! `TimedOut` marker when the job's deadline already passed, or `Failed` if
@@ -16,7 +16,7 @@ use crate::clock::ServeClock;
 use crate::metrics::Metrics;
 use crate::server::ServeConfig;
 use crate::transport::{Rendezvous, ShardOutcome, ShardTransport, TransportError};
-use ajax_index::{eval_shard, InvertedIndex, Query, RankWeights};
+use ajax_index::{eval_shard_with_scratch, InvertedIndex, Query, RankWeights, ScoreScratch};
 use ajax_net::Micros;
 use ajax_obs::{AttrValue, SpanLog};
 use std::collections::VecDeque;
@@ -156,6 +156,8 @@ fn worker_loop(
     eval_cost_micros: Micros,
     trace: Option<Arc<Mutex<SpanLog>>>,
 ) {
+    // Every buffer evaluation needs, kept across jobs.
+    let mut scratch = ScoreScratch::new();
     loop {
         let job = queue.pop();
         let Job::Eval {
@@ -179,14 +181,18 @@ fn worker_loop(
         } else {
             let snapshot = index.read().unwrap().clone();
             let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                eval_shard(&snapshot, shard_idx, &query, &weights)
+                eval_shard_with_scratch(&snapshot, shard_idx, &query, &weights, &mut scratch)
             }));
             // Under a manual clock, evaluation "costs" virtual time so load
             // tests can model slow shards deterministically.
             clock.advance(eval_cost_micros);
             match evaluated {
                 Ok((results, stats)) => ShardOutcome::Evaluated(results, stats),
-                Err(_) => ShardOutcome::Failed,
+                Err(_) => {
+                    // The scratch may be poisoned mid-panic; start fresh.
+                    scratch = ScoreScratch::new();
+                    ShardOutcome::Failed
+                }
             }
         };
         if let Some(trace) = &trace {

@@ -11,8 +11,9 @@
 //! 3. **fan-out** — the transport ships the query to every shard; shards
 //!    evaluate in parallel and deliver into a per-query slot array;
 //! 4. **merge** — the caller collects replies *in shard order* and runs
-//!    [`ajax_index::merge_shard_outputs`], the same code the sequential
-//!    broker uses, so scores are bit-identical to `QueryBroker::search`;
+//!    [`ajax_index::merge_shard_outputs`], the score completion and rank
+//!    order the sequential broker uses, so results are bit-identical to
+//!    `QueryBroker::search`;
 //! 5. **degradation** — with a deadline configured, shards that miss it are
 //!    skipped: the response carries whatever arrived, flagged `degraded`,
 //!    with the missing shard ids listed. Degraded results are not cached.
@@ -400,7 +401,8 @@ impl ShardServer {
             return Ok(self.finish(admitted_at, Vec::new(), false, Vec::new(), false));
         }
 
-        // Cache lookup.
+        // Cache lookup. A hit copies the result list, not its URLs: each is
+        // a reference count on the index's own.
         let key = cache_key(query, &self.weights);
         if let Some(cached) = self.cache.get(&key) {
             self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -431,8 +433,8 @@ impl ShardServer {
             _ => reply.wait_all(),
         };
 
-        // Merge in shard order — same summation order as the sequential
-        // broker, hence bit-identical scores when nothing is missing.
+        // Merge: the sequential broker's score completion and rank order,
+        // hence bit-identical results when nothing is missing.
         let mut all_results = Vec::new();
         let mut all_stats = Vec::new();
         let mut missing = Vec::new();

@@ -13,9 +13,10 @@
 //! * `ajax_dist::TcpTransport` — remote shard *processes* behind a
 //!   length-prefixed TCP protocol, with pipelined shipping and hedging.
 //!
-//! Both deliver outcomes into the same rendezvous and the caller merges in
-//! shard order, so every transport inherits the serving layer's bit-identical
-//! equivalence to the sequential `QueryBroker`.
+//! Both deliver outcomes into the same rendezvous and the caller merges them
+//! with the broker's own completion and rank order, so every transport
+//! inherits the serving layer's bit-identical equivalence to the sequential
+//! `QueryBroker`.
 
 use ajax_index::{InvertedIndex, Query, RankWeights, ShardResult, ShardTermStats};
 use ajax_net::Micros;

@@ -135,7 +135,7 @@ proptest! {
         let merged = broker.search(&q);
         prop_assert_eq!(reference.len(), merged.len());
         for (r, m) in reference.iter().zip(merged.iter()) {
-            prop_assert_eq!(&r.url, &m.url);
+            prop_assert_eq!(r.url.as_str(), &*m.url);
             prop_assert!((r.score - m.score).abs() < 1e-9);
         }
     }
