@@ -7,10 +7,10 @@
 //!
 //! * [`proto`] — the length-prefixed binary frame format: fixed-width
 //!   little-endian payloads carrying `f64` as raw bits, correlation ids
-//!   for pipelining;
+//!   for pipelining, and a reply that is one `ShardHits` batch on both ends;
 //! * [`shard`] — the shard server: one index partition behind a listener,
-//!   evaluating queries with `eval_shard` and returning local results plus
-//!   the `(|Idx|, df)` stats for merge-time global idf;
+//!   evaluating queries with `eval_shard_into` and returning local results
+//!   plus the `(|Idx|, df)` stats for merge-time global idf;
 //! * [`transport`] — the coordinator's [`TcpTransport`], an
 //!   `ajax_serve::ShardTransport`: pipelined query shipping, per-shard
 //!   reader threads, reconnect with exponential backoff, and hedged

@@ -12,14 +12,20 @@
 //! |-----:|---------|---------|
 //! | 1 | `Eval`  | `id u64`, `weights 4×f64` (pagerank, ajaxrank, tfidf, proximity), `terms: list of string` |
 //! | 2 | `Reply` | `id u64`, `total_states u64`, `df: list of u64`, `urls: list of string`, `results: list of result` |
-//! |   | result  | `shard u32`, `url u32` (index into `urls`), `page u32`, `state u32`, `base_score f64`, `tfs: list of f64` |
+//! |   | result  | `shard u32`, `url u32` (index into `urls`), `page u32`, `state u32`, `base_score f64`, `tfs: list of f64` (as many as `df`) |
 //! | 3 | `Ping`  | empty |
 //! | 4 | `Pong`  | `proto_version u64`, `shard_id u64`, `total_states u64`, `index_bytes u64`, `term_count u64` |
 //! | 5 | `Error` | `id u64`, `message: string` |
 //!
-//! A `Reply` names each URL once: consecutive results with the same URL (a
+//! A `Reply` carries one [`ShardHits`] batch: [`encode_reply`] writes it
+//! from the batch the shard's scoring loop filled, and [`FrameReader`]
+//! decodes it straight into the coordinator's batch. Every result has one
+//! tf per `df` entry; a reply that breaks this is refused on both ends. A
+//! `Reply` names each URL once: consecutive results with the same URL (a
 //! shard emits a page's states back to back) share one `urls` entry, and the
 //! decoder shares one `Arc<str>` per entry among the results that name it.
+//! [`EvalReply`], [`write_message`] and [`read_message`] are the owned form
+//! of the same encoder and decoder.
 //!
 //! Version 1 carried the same messages as JSON after the kind byte. Printing
 //! and parsing shortest-round-trip `f64` text was ~90 % of a distributed
@@ -36,8 +42,10 @@
 //! interleave replies from its evaluation threads in any order.
 
 use ajax_crawl::StateId;
-use ajax_index::{DocKey, Query, RankWeights, ShardResult, ShardTermStats};
-use std::io::{self, Read, Write};
+use ajax_index::{
+    BrokerResult, DocKey, Query, RankWeights, ShardHits, ShardResult, ShardTermStats,
+};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 
 /// Protocol version, exchanged in [`ShardInfo`] at handshake.
@@ -47,6 +55,10 @@ pub const PROTO_VERSION: u64 = 2;
 /// a receiver takes one as a corrupt or hostile peer and refuses it before
 /// allocation.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
+
+/// What a [`FrameReader`] asks of the socket per `read`: enough for a whole
+/// reply of a few thousand results, and for several pipelined ones.
+const READ_BUFFER_BYTES: usize = 64 * 1024;
 
 const KIND_EVAL: u8 = 1;
 const KIND_REPLY: u8 = 2;
@@ -66,7 +78,8 @@ pub struct EvalRequest {
 /// Shard → coordinator: the local results plus the term stats the merger
 /// needs for global idf (df per term, shard state count) — the "idf
 /// exchange" travels with every reply, so the coordinator never caches
-/// stale statistics across reloads.
+/// stale statistics across reloads. The owned form of a `Reply`: the
+/// serving path sends and receives a [`ShardHits`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalReply {
     pub id: u64,
@@ -103,6 +116,16 @@ pub enum Message {
     Error(WireError),
 }
 
+/// One frame as a [`FrameReader`] decodes it.
+#[derive(Debug)]
+pub enum Frame {
+    /// A `Reply` to the request of this id. Its batch went into the
+    /// [`ShardHits`] the read was given.
+    Reply(u64),
+    /// Any other message; never [`Message::Reply`].
+    Message(Message),
+}
+
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -132,36 +155,60 @@ fn put_str(buf: &mut Vec<u8>, s: &str) -> io::Result<()> {
     Ok(())
 }
 
-fn put_reply(buf: &mut Vec<u8>, m: &EvalReply) -> io::Result<()> {
-    put_u64(buf, m.id);
-    put_u64(buf, m.stats.total_states);
-    put_len(buf, m.stats.df.len())?;
-    for &df in &m.stats.df {
+/// One result as the `Reply` encoder reads it: shard, URL, doc, base score
+/// and tfs — a hit of a [`ShardHits`] batch, or an owned [`ShardResult`].
+type ResultView<'a> = (usize, &'a Arc<str>, DocKey, f64, &'a [f64]);
+
+/// The one `Reply` payload writer. A result whose tf count is not the
+/// reply's df count is `InvalidData`.
+fn put_reply<'a>(
+    buf: &mut Vec<u8>,
+    id: u64,
+    stats: &ShardTermStats,
+    results: impl Iterator<Item = ResultView<'a>> + Clone,
+) -> io::Result<()> {
+    let k = stats.df.len();
+    put_u64(buf, id);
+    put_u64(buf, stats.total_states);
+    put_len(buf, k)?;
+    for &df in &stats.df {
         put_u64(buf, df);
     }
     // The URL table, then the results pointing into it. Both passes apply
     // the same rule: a result whose URL equals its predecessor's shares the
     // predecessor's entry. Results of one page usually share one `Arc`, so
     // the pointers are compared before the bytes.
-    let same_url = |a: &Arc<str>, b: &Arc<str>| Arc::ptr_eq(a, b) || a == b;
-    let starts_url = |i: usize| i == 0 || !same_url(&m.results[i].url, &m.results[i - 1].url);
-    put_len(buf, (0..m.results.len()).filter(|&i| starts_url(i)).count())?;
-    for (i, r) in m.results.iter().enumerate() {
-        if starts_url(i) {
-            put_str(buf, &r.url)?;
-        }
+    let new_url = |prev: Option<&Arc<str>>, url: &Arc<str>| {
+        prev.is_none_or(|prev| !Arc::ptr_eq(prev, url) && prev != url)
+    };
+    let mut prev = None;
+    let table = results.clone().filter_map(move |(_, url, ..)| {
+        let new = new_url(prev, url);
+        prev = Some(url);
+        new.then_some(url)
+    });
+    put_len(buf, table.clone().count())?;
+    for url in table {
+        put_str(buf, url)?;
     }
-    put_len(buf, m.results.len())?;
-    let mut urls = 0;
-    for (i, r) in m.results.iter().enumerate() {
-        urls += usize::from(starts_url(i));
-        put_len(buf, r.shard)?;
-        put_len(buf, urls - 1)?;
-        put_u32(buf, r.doc.page);
-        put_u32(buf, r.doc.state.0);
-        put_f64(buf, r.base_score);
-        put_len(buf, r.tfs.len())?;
-        for &tf in &r.tfs {
+    put_len(buf, results.clone().count())?;
+    let (mut prev, mut entries) = (None, 0);
+    for (shard, url, doc, score, tfs) in results {
+        if tfs.len() != k {
+            let n = tfs.len();
+            return Err(invalid(format!(
+                "a result of {n} tfs in a reply of {k} terms"
+            )));
+        }
+        entries += usize::from(new_url(prev, url));
+        prev = Some(url);
+        put_len(buf, shard)?;
+        put_len(buf, entries - 1)?;
+        put_u32(buf, doc.page);
+        put_u32(buf, doc.state.0);
+        put_f64(buf, score);
+        put_len(buf, k)?;
+        for &tf in tfs {
             put_f64(buf, tf);
         }
     }
@@ -209,13 +256,33 @@ pub fn encode_eval(
     })
 }
 
+/// Replaces `frame`'s contents with the `Reply` frame answering request `id`
+/// with `reply` — the one `Reply` encoder. A batch without one tf per df
+/// entry for every hit is `InvalidData`.
+pub fn encode_reply(frame: &mut Vec<u8>, id: u64, reply: &ShardHits) -> io::Result<()> {
+    let (n, k) = (reply.hits.len(), reply.stats.df.len());
+    if k.checked_mul(n) != Some(reply.tfs.len()) {
+        let tfs = reply.tfs.len();
+        return Err(invalid(format!("{tfs} tfs for {n} results of {k} terms")));
+    }
+    let results =
+        (reply.per_hit()).map(|(hit, tfs)| (hit.shard, &hit.url, hit.doc, hit.score, tfs));
+    framed(frame, KIND_REPLY, |buf| {
+        put_reply(buf, id, &reply.stats, results)
+    })
+}
+
 /// Encodes one whole frame (header included) into `frame`, replacing its
 /// contents, so a connection can reuse one buffer for every frame it sends.
 /// A frame over [`MAX_FRAME_BYTES`] is an `InvalidData` error on the sender.
 pub fn encode_message(frame: &mut Vec<u8>, msg: &Message) -> io::Result<()> {
     match msg {
         Message::Eval(m) => encode_eval(frame, m.id, &m.query, &m.weights),
-        Message::Reply(m) => framed(frame, KIND_REPLY, |buf| put_reply(buf, m)),
+        Message::Reply(m) => framed(frame, KIND_REPLY, |buf| {
+            let results = (m.results.iter())
+                .map(|r| (r.shard, &r.url, r.doc, r.base_score, r.tfs.as_slice()));
+            put_reply(buf, m.id, &m.stats, results)
+        }),
         Message::Ping => framed(frame, KIND_PING, |_| Ok(())),
         Message::Pong(m) => framed(frame, KIND_PONG, |buf| {
             put_u64(buf, m.proto_version);
@@ -279,20 +346,26 @@ impl<'a> Payload<'a> {
         std::str::from_utf8(self.take(len)?).map_err(|_| invalid("string is not UTF-8".to_string()))
     }
 
-    /// A counted list. The count is refused unless that many elements of at
-    /// least `min_bytes` each can still follow, so the allocation for them
-    /// is bounded by the payload, not by what the peer claims.
-    fn list<T>(
-        &mut self,
-        min_bytes: usize,
-        mut element: impl FnMut(&mut Self) -> io::Result<T>,
-    ) -> io::Result<Vec<T>> {
+    /// A list's element count, refused unless that many elements of at
+    /// least `min_bytes` each can still follow, so what is allocated for
+    /// them is bounded by the payload, not by what the peer claims.
+    fn count(&mut self, min_bytes: usize) -> io::Result<usize> {
         let (count, left) = (self.u32()? as usize, self.0.len());
         if count > left / min_bytes {
             return Err(invalid(format!(
                 "{count} elements cannot fit in {left} bytes"
             )));
         }
+        Ok(count)
+    }
+
+    /// A counted list of elements of at least `min_bytes` each.
+    fn list<T>(
+        &mut self,
+        min_bytes: usize,
+        mut element: impl FnMut(&mut Self) -> io::Result<T>,
+    ) -> io::Result<Vec<T>> {
+        let count = self.count(min_bytes)?;
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             out.push(element(self)?);
@@ -301,55 +374,64 @@ impl<'a> Payload<'a> {
     }
 }
 
-/// Smallest encoded result: four `u32`s, the score, an empty `tfs` list.
+/// Smallest encoded result of a reply without terms: four `u32`s, the
+/// score, an empty `tfs` list. Each term adds one tf.
 const MIN_RESULT_BYTES: usize = 28;
 
-fn get_reply(p: &mut Payload<'_>) -> io::Result<EvalReply> {
+/// The one `Reply` decoder: replaces `out` with the payload's batch and
+/// returns the request id.
+fn get_reply(p: &mut Payload<'_>, out: &mut ShardHits) -> io::Result<u64> {
     let id = p.u64()?;
-    let total_states = p.u64()?;
-    let df = p.list(8, Payload::u64)?;
+    let ShardHits { hits, tfs, stats } = out;
+    hits.clear();
+    tfs.clear();
+    stats.df.clear();
+    stats.total_states = p.u64()?;
+    let k = p.count(8)?;
+    for _ in 0..k {
+        stats.df.push(p.u64()?);
+    }
     let urls = p.list(4, |p| p.str().map(Arc::<str>::from))?;
-    let results = p.list(MIN_RESULT_BYTES, |p| {
+    let n = p.count(MIN_RESULT_BYTES + 8 * k)?;
+    hits.reserve(n);
+    tfs.reserve(n * k);
+    for _ in 0..n {
         let shard = p.u32()? as usize;
         let url = p.u32()? as usize;
         let url = urls
             .get(url)
             .ok_or_else(|| invalid(format!("url {url} of a table of {}", urls.len())))?;
-        Ok(ShardResult {
+        let doc = DocKey {
+            page: p.u32()?,
+            state: StateId(p.u32()?),
+        };
+        let score = p.f64()?;
+        let count = p.u32()? as usize;
+        if count != k {
+            return Err(invalid(format!(
+                "a result of {count} tfs in a reply of {k} terms"
+            )));
+        }
+        for _ in 0..k {
+            tfs.push(p.f64()?);
+        }
+        hits.push(BrokerResult {
             shard,
             url: Arc::clone(url),
-            doc: DocKey {
-                page: p.u32()?,
-                state: StateId(p.u32()?),
-            },
-            base_score: p.f64()?,
-            tfs: p.list(8, Payload::f64)?,
-        })
-    })?;
-    Ok(EvalReply {
-        id,
-        results,
-        stats: ShardTermStats { total_states, df },
-    })
+            doc,
+            score,
+        });
+    }
+    Ok(id)
 }
 
-/// Reads one frame, blocking: the 4-byte length, then the body in one read.
-/// `Err(UnexpectedEof)` on clean connection close at a frame boundary.
-pub fn read_message(r: &mut impl Read) -> io::Result<Message> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf);
-    if len == 0 {
-        return Err(invalid("zero-length frame".to_string()));
-    }
-    if len > MAX_FRAME_BYTES {
-        return Err(invalid(format!("frame of {len} bytes exceeds limit")));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let mut p = Payload(&body[1..]);
-    let msg = match body[0] {
-        KIND_EVAL => Message::Eval(EvalRequest {
+/// Decodes one frame body (kind byte first). A `Reply` goes into `hits`.
+fn decode(body: &[u8], hits: &mut ShardHits) -> io::Result<Frame> {
+    let (&kind, payload) =
+        (body.split_first()).ok_or_else(|| invalid("zero-length frame".to_string()))?;
+    let mut p = Payload(payload);
+    let frame = match kind {
+        KIND_EVAL => Frame::Message(Message::Eval(EvalRequest {
             id: p.u64()?,
             weights: RankWeights {
                 pagerank: p.f64()?,
@@ -360,26 +442,102 @@ pub fn read_message(r: &mut impl Read) -> io::Result<Message> {
             query: Query {
                 terms: p.list(4, |p| p.str().map(str::to_string))?,
             },
-        }),
-        KIND_REPLY => Message::Reply(get_reply(&mut p)?),
-        KIND_PING => Message::Ping,
-        KIND_PONG => Message::Pong(ShardInfo {
+        })),
+        KIND_REPLY => Frame::Reply(get_reply(&mut p, hits)?),
+        KIND_PING => Frame::Message(Message::Ping),
+        KIND_PONG => Frame::Message(Message::Pong(ShardInfo {
             proto_version: p.u64()?,
             shard_id: p.u64()?,
             total_states: p.u64()?,
             index_bytes: p.u64()?,
             term_count: p.u64()?,
-        }),
-        KIND_ERROR => Message::Error(WireError {
+        })),
+        KIND_ERROR => Frame::Message(Message::Error(WireError {
             id: p.u64()?,
             message: p.str()?.to_string(),
-        }),
+        })),
         other => return Err(invalid(format!("unknown frame kind {other}"))),
     };
     if !p.0.is_empty() {
         return Err(invalid(format!("{} bytes trail the payload", p.0.len())));
     }
-    Ok(msg)
+    Ok(frame)
+}
+
+/// Reads one frame's body (kind byte first) into `body`, replacing its
+/// contents and reusing its allocation: the 4-byte length, bounded before
+/// anything is allocated, then exactly that many bytes.
+/// `Err(UnexpectedEof)` on clean connection close at a frame boundary.
+fn read_frame(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<()> {
+    let mut len_buf = [0u8; 4];
+    r.read_exact(&mut len_buf)?;
+    let len = u32::from_le_bytes(len_buf);
+    if len > MAX_FRAME_BYTES {
+        return Err(invalid(format!("frame of {len} bytes exceeds limit")));
+    }
+    body.clear();
+    body.reserve(len as usize);
+    r.take(u64::from(len)).read_to_end(body)?;
+    if body.len() < len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame ends {} bytes into {len}", body.len()),
+        ));
+    }
+    Ok(())
+}
+
+/// Reads one frame, blocking, and nothing past it: the owned form of
+/// [`FrameReader::read`], for a one-off exchange such as the handshake.
+/// `Err(UnexpectedEof)` on clean connection close at a frame boundary.
+pub fn read_message(r: &mut impl Read) -> io::Result<Message> {
+    let mut body = Vec::new();
+    read_frame(r, &mut body)?;
+    let mut batch = ShardHits::default();
+    Ok(match decode(&body, &mut batch)? {
+        Frame::Reply(id) => {
+            let (results, stats) = batch.into_results();
+            Message::Reply(EvalReply { id, results, stats })
+        }
+        Frame::Message(message) => message,
+    })
+}
+
+/// The receiving end of one connection. Frames come through a read buffer
+/// — one `read` per frame in the common case — each body lands in one
+/// reused buffer, and a `Reply` is decoded straight into the caller's
+/// [`ShardHits`].
+pub struct FrameReader<R> {
+    inner: BufReader<R>,
+    body: Vec<u8>,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub fn new(inner: R) -> Self {
+        Self {
+            inner: BufReader::with_capacity(READ_BUFFER_BYTES, inner),
+            body: Vec::new(),
+        }
+    }
+
+    /// Blocks until the next frame's first bytes have arrived, or the peer
+    /// has closed (the next [`read`](Self::read) then fails): what follows
+    /// is the frame's receive, not idle time.
+    pub fn wait(&mut self) -> io::Result<()> {
+        self.inner.fill_buf().map(|_| ())
+    }
+
+    /// Reads and decodes the next frame. A `Reply`'s batch replaces the
+    /// contents of `hits`.
+    pub fn read(&mut self, hits: &mut ShardHits) -> io::Result<Frame> {
+        read_frame(&mut self.inner, &mut self.body)?;
+        decode(&self.body, hits)
+    }
+
+    /// The connection itself, for writing to it.
+    pub fn get_mut(&mut self) -> &mut R {
+        self.inner.get_mut()
+    }
 }
 
 #[cfg(test)]

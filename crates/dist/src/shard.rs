@@ -3,9 +3,10 @@
 //! A shard is deliberately dumb — it owns no admission control, no cache,
 //! no deadlines. It accepts connections, answers `Ping` with its identity,
 //! and evaluates `Eval` requests against its partition with
-//! [`ajax_index::eval_shard_with_scratch`], returning local results plus
-//! the per-term document frequencies the coordinator needs for merge-time
-//! global idf. All policy lives coordinator-side, exactly like the
+//! [`ajax_index::eval_shard_into`] into one batch per connection, which it
+//! encodes as the reply: local results plus the per-term document
+//! frequencies the coordinator needs for merge-time global idf. All policy
+//! lives coordinator-side, exactly like the
 //! single-process [`ajax_serve::ShardServer`] keeps policy out of its
 //! worker pools.
 //!
@@ -26,9 +27,9 @@
 
 use crate::error::DistError;
 use crate::proto::{
-    encode_message, read_message, EvalReply, Message, ShardInfo, WireError, PROTO_VERSION,
+    encode_message, encode_reply, Frame, FrameReader, Message, ShardInfo, WireError, PROTO_VERSION,
 };
-use ajax_index::{eval_shard_with_scratch, InvertedIndex, ScoreScratch};
+use ajax_index::{eval_shard_into, InvertedIndex, ScoreScratch, ShardHits};
 use ajax_obs::{AttrValue, SpanLog};
 use std::collections::HashMap;
 use std::io::Write;
@@ -123,23 +124,26 @@ fn accept_loop(listener: TcpListener, ctx: &Arc<ShardCtx>) {
     }
 }
 
-fn connection_loop(mut stream: TcpStream, ctx: &ShardCtx) {
+fn connection_loop(stream: TcpStream, ctx: &ShardCtx) {
+    let mut reader = FrameReader::new(stream);
     let mut scratch = ScoreScratch::default();
-    // One frame buffer for everything this connection sends.
+    // The batch every evaluation fills, and one frame buffer for everything
+    // this connection sends.
+    let mut hits = ShardHits::default();
     let mut frame = Vec::new();
-    let mut send = |stream: &mut TcpStream, msg: &Message| {
-        encode_message(&mut frame, msg)?;
-        stream.write_all(&frame)
-    };
     loop {
+        // Peer hung up or sent garbage; either way this connection is done.
+        // The coordinator reconnects with backoff if it cares. `rpc.recv`
+        // starts once a frame arrives, not while the connection idles.
+        if reader.wait().is_err() {
+            return;
+        }
         let recv_start = ctx.now();
-        let msg = match read_message(&mut stream) {
-            Ok(msg) => msg,
-            // Peer hung up or sent garbage; either way this connection is
-            // done. The coordinator reconnects with backoff if it cares.
-            Err(_) => return,
+        // A shard never receives replies/pongs; treat as protocol abuse.
+        let Ok(Frame::Message(msg)) = reader.read(&mut hits) else {
+            return;
         };
-        match msg {
+        let (encoded, sent) = match msg {
             Message::Ping => {
                 let info = ShardInfo {
                     shard_id: ctx.shard_id as u64,
@@ -148,48 +152,47 @@ fn connection_loop(mut stream: TcpStream, ctx: &ShardCtx) {
                     index_bytes: ctx.index.approx_bytes() as u64,
                     term_count: ctx.index.term_count() as u64,
                 };
-                if send(&mut stream, &Message::Pong(info)).is_err() {
-                    return;
-                }
+                (encode_message(&mut frame, &Message::Pong(info)), None)
             }
             Message::Eval(req) => {
                 ctx.record_span("rpc.recv", recv_start, ctx.now(), req.id);
                 let eval_start = ctx.now();
                 let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    eval_shard_with_scratch(
+                    eval_shard_into(
                         &ctx.index,
                         ctx.shard_id,
                         &req.query,
                         &req.weights,
                         &mut scratch,
+                        &mut hits,
                     )
                 }));
-                let reply = match evaluated {
-                    Ok((results, stats)) => {
-                        ctx.record_span("shard.eval", eval_start, ctx.now(), req.id);
-                        Message::Reply(EvalReply {
-                            id: req.id,
-                            results,
-                            stats,
-                        })
+                // `rpc.send` covers the encode and the write.
+                let send_start = ctx.now();
+                let encoded = match evaluated {
+                    Ok(()) => {
+                        ctx.record_span("shard.eval", eval_start, send_start, req.id);
+                        encode_reply(&mut frame, req.id, &hits)
                     }
                     Err(_) => {
-                        // The scratch may be poisoned mid-panic; start fresh.
-                        scratch = ScoreScratch::default();
-                        Message::Error(WireError {
+                        // The buffers may be poisoned mid-panic; start fresh.
+                        (scratch, hits) = Default::default();
+                        let error = WireError {
                             id: req.id,
                             message: "shard evaluation panicked".to_string(),
-                        })
+                        };
+                        encode_message(&mut frame, &Message::Error(error))
                     }
                 };
-                let send_start = ctx.now();
-                if send(&mut stream, &reply).is_err() {
-                    return;
-                }
-                ctx.record_span("rpc.send", send_start, ctx.now(), req.id);
+                (encoded, Some((req.id, send_start)))
             }
-            // A shard never receives replies/pongs; treat as protocol abuse.
             Message::Reply(_) | Message::Pong(_) | Message::Error(_) => return,
+        };
+        if encoded.is_err() || reader.get_mut().write_all(&frame).is_err() {
+            return;
+        }
+        if let Some((id, send_start)) = sent {
+            ctx.record_span("rpc.send", send_start, ctx.now(), id);
         }
     }
 }
@@ -264,7 +267,7 @@ impl Drop for ShardHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{write_message, EvalRequest};
+    use crate::proto::{read_message, write_message, EvalRequest};
     use ajax_crawl::model::AppModel;
     use ajax_index::{IndexBuilder, Query, RankWeights};
 

@@ -21,8 +21,10 @@
 //!   shard, so hedging can only improve latency — never change results.
 
 use crate::error::DistError;
-use crate::proto::{encode_eval, read_message, write_message, Message, ShardInfo, PROTO_VERSION};
-use ajax_index::{InvertedIndex, Query, RankWeights};
+use crate::proto::{
+    encode_eval, read_message, write_message, Frame, FrameReader, Message, ShardInfo, PROTO_VERSION,
+};
+use ajax_index::{InvertedIndex, Query, RankWeights, ShardHits};
 use ajax_net::Micros;
 use ajax_obs::{AttrValue, SpanLog};
 use ajax_serve::{Rendezvous, ShardOutcome, ShardTransport, TransportError};
@@ -235,21 +237,22 @@ impl TcpTransport {
     }
 }
 
-fn reader_loop(conn: &Arc<ShardConn>, mut stream: TcpStream) {
+fn reader_loop(conn: &Arc<ShardConn>, stream: TcpStream) {
+    let mut reader = FrameReader::new(stream);
     loop {
-        match read_message(&mut stream) {
-            Ok(Message::Reply(reply)) => {
-                let t = conn.now();
-                let pending = conn.pending.lock().unwrap().remove(&reply.id);
+        // `rpc.recv` runs from the arrival of a reply's first bytes to its
+        // delivery, decode included; the wait before that is idle time.
+        let arrived = reader.wait().map(|()| conn.now());
+        let mut hits = ShardHits::default();
+        match arrived.and_then(|t| reader.read(&mut hits).map(|frame| (t, frame))) {
+            Ok((t, Frame::Reply(id))) => {
+                let pending = conn.pending.lock().unwrap().remove(&id);
                 if let Some(rendezvous) = pending {
-                    conn.record_span("rpc.recv", t, conn.now(), reply.id);
-                    rendezvous.deliver(
-                        conn.shard_idx,
-                        ShardOutcome::Evaluated(reply.results, reply.stats),
-                    );
+                    rendezvous.deliver(conn.shard_idx, ShardOutcome::Evaluated(hits));
+                    conn.record_span("rpc.recv", t, conn.now(), id);
                 }
             }
-            Ok(Message::Error(err)) => {
+            Ok((_, Frame::Message(Message::Error(err)))) => {
                 let pending = conn.pending.lock().unwrap().remove(&err.id);
                 if let Some(rendezvous) = pending {
                     rendezvous.deliver(conn.shard_idx, ShardOutcome::Failed);
@@ -266,7 +269,7 @@ fn reader_loop(conn: &Arc<ShardConn>, mut stream: TcpStream) {
                     return;
                 }
                 match reconnect_backoff(conn) {
-                    Some(new_stream) => stream = new_stream,
+                    Some(new_stream) => reader = FrameReader::new(new_stream),
                     None => return,
                 }
             }
@@ -303,19 +306,19 @@ fn reconnect_backoff(conn: &Arc<ShardConn>) -> Option<TcpStream> {
 
 /// One synchronous hedge round-trip on a fresh direct connection, re-sending
 /// the query's already encoded `Eval` frame.
-fn hedge_eval(
-    conn: &ShardConn,
-    id: u64,
-    eval_frame: &[u8],
-) -> Result<(Vec<ajax_index::ShardResult>, ajax_index::ShardTermStats), std::io::Error> {
+fn hedge_eval(conn: &ShardConn, id: u64, eval_frame: &[u8]) -> std::io::Result<ShardHits> {
     let mut stream = TcpStream::connect(conn.endpoint.direct_addr)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.write_all(eval_frame)?;
+    let mut reader = FrameReader::new(stream);
+    let mut hits = ShardHits::default();
     loop {
-        match read_message(&mut stream)? {
-            Message::Reply(reply) if reply.id == id => return Ok((reply.results, reply.stats)),
-            Message::Error(err) if err.id == id => return Err(std::io::Error::other(err.message)),
+        match reader.read(&mut hits)? {
+            Frame::Reply(reply_id) if reply_id == id => return Ok(hits),
+            Frame::Message(Message::Error(err)) if err.id == id => {
+                return Err(std::io::Error::other(err.message))
+            }
             _ => {}
         }
     }
@@ -385,11 +388,11 @@ impl ShardTransport for TcpTransport {
                     hedges.fetch_add(1, Ordering::Relaxed);
                     let outcome = hedge_eval(conn, id, &frame);
                     conn.record_span("dist.hedge", start, conn.now(), id);
-                    if let Ok((results, stats)) = outcome {
+                    if let Ok(hits) = outcome {
                         // Drop the pending entry so the (slower) primary
                         // reply is ignored by the reader too.
                         conn.pending.lock().unwrap().remove(&id);
-                        reply.deliver(conn.shard_idx, ShardOutcome::Evaluated(results, stats));
+                        reply.deliver(conn.shard_idx, ShardOutcome::Evaluated(hits));
                     }
                 }
             });

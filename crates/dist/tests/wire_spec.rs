@@ -6,8 +6,12 @@
 //! * a truncated, bit-flipped or arbitrary byte string is answered with `Ok`
 //!   or an `io::Error` — never a panic — and the reader never asks the
 //!   allocator for more than a small multiple of the frame's stated length;
+//! * a `Reply` with a result of another tf count than its `df` entries is
+//!   `InvalidData`, to the writer and to the reader;
 //! * one golden frame pins the byte layout, so changing it is deliberate;
-//! * a shard that still speaks version 1 (JSON) is refused at handshake.
+//! * a shard that still speaks version 1 (JSON) is refused at handshake;
+//! * a shard whose well-formed reply answers fewer terms than the query has
+//!   degrades that query instead of panicking the coordinator.
 //!
 //! Case counts are bounded for tier-1; `PROPTEST_CASES` raises them in CI.
 
@@ -18,6 +22,7 @@ use ajax_dist::proto::{
 };
 use ajax_dist::{DistError, ShardEndpoint, TcpTransport, TcpTransportConfig};
 use ajax_index::{DocKey, Query, RankWeights, ShardResult, ShardTermStats};
+use ajax_serve::{ServeConfig, ShardServer};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -132,6 +137,11 @@ fn any_text() -> impl Strategy<Value = String> {
     prop_oneof!["[a-z]{0,8}", "\\PC{0,12}"]
 }
 
+/// The most query terms a generated reply answers.
+const MAX_TERMS: usize = 3;
+
+/// A result with `MAX_TERMS` tfs; [`any_reply`] keeps as many as its reply
+/// has terms.
 fn any_result() -> impl Strategy<Value = ShardResult> {
     (
         0usize..5,
@@ -139,7 +149,7 @@ fn any_result() -> impl Strategy<Value = ShardResult> {
         (0u32..4).prop_map(|v| format!("http://v.test/watch?v={v}")),
         (any::<u32>(), any::<u32>()),
         any_f64(),
-        proptest::collection::vec(any_f64(), 0..4),
+        proptest::collection::vec(any_f64(), MAX_TERMS..MAX_TERMS + 1),
     )
         .prop_map(|(shard, url, (page, state), base_score, tfs)| ShardResult {
             shard,
@@ -150,6 +160,29 @@ fn any_result() -> impl Strategy<Value = ShardResult> {
             },
             base_score,
             tfs,
+        })
+}
+
+/// A reply of `results` many results: `k` terms, drawn once, so `df` has
+/// `k` entries and every result `k` tfs.
+fn any_reply(results: std::ops::Range<usize>) -> impl Strategy<Value = EvalReply> {
+    (
+        any::<u64>(),
+        0..MAX_TERMS + 1,
+        proptest::collection::vec(any_result(), results),
+        any::<u64>(),
+        proptest::collection::vec(any::<u64>(), MAX_TERMS..MAX_TERMS + 1),
+    )
+        .prop_map(|(id, k, mut results, total_states, mut df)| {
+            df.truncate(k);
+            for r in &mut results {
+                r.tfs.truncate(k);
+            }
+            EvalReply {
+                id,
+                results,
+                stats: ShardTermStats { total_states, df },
+            }
         })
 }
 
@@ -172,19 +205,7 @@ fn any_message() -> impl Strategy<Value = Message> {
                     },
                 })
             }),
-        (
-            any::<u64>(),
-            proptest::collection::vec(any_result(), 0..9),
-            any::<u64>(),
-            proptest::collection::vec(any::<u64>(), 0..4),
-        )
-            .prop_map(|(id, results, total_states, df)| {
-                Message::Reply(EvalReply {
-                    id,
-                    results,
-                    stats: ShardTermStats { total_states, df },
-                })
-            }),
+        any_reply(0..9).prop_map(Message::Reply),
         Just(Message::Ping),
         (
             any::<u64>(),
@@ -265,6 +286,38 @@ fn encode(msg: &Message) -> Vec<u8> {
     wire
 }
 
+/// A `Reply` frame laid out from the table in `docs/distributed.md`, one
+/// URL-table entry per result and each result's tfs as they are: what a
+/// peer that does not check tf counts would send.
+fn laid_out(m: &EvalReply) -> Vec<u8> {
+    let u32s = |p: &mut Vec<u8>, vs: &[u32]| vs.iter().for_each(|v| p.extend(v.to_le_bytes()));
+    let mut p = vec![2];
+    p.extend(m.id.to_le_bytes());
+    p.extend(m.stats.total_states.to_le_bytes());
+    u32s(&mut p, &[m.stats.df.len() as u32]);
+    m.stats.df.iter().for_each(|df| p.extend(df.to_le_bytes()));
+    u32s(&mut p, &[m.results.len() as u32]);
+    for r in &m.results {
+        u32s(&mut p, &[r.url.len() as u32]);
+        p.extend(r.url.as_bytes());
+    }
+    u32s(&mut p, &[m.results.len() as u32]);
+    for (i, r) in m.results.iter().enumerate() {
+        u32s(
+            &mut p,
+            &[r.shard as u32, i as u32, r.doc.page, r.doc.state.0],
+        );
+        p.extend(r.base_score.to_bits().to_le_bytes());
+        u32s(&mut p, &[r.tfs.len() as u32]);
+        r.tfs
+            .iter()
+            .for_each(|tf| p.extend(tf.to_bits().to_le_bytes()));
+    }
+    let mut frame = (p.len() as u32).to_le_bytes().to_vec();
+    frame.extend(p);
+    frame
+}
+
 // ------------------------------------------------------------ properties
 
 proptest! {
@@ -276,6 +329,32 @@ proptest! {
         let decoded = read_is_bounded(&wire)?
             .map_err(|e| TestCaseError::fail(format!("own frame refused: {e}")))?;
         prop_assert_eq!(fields(&decoded), fields(&msg));
+    }
+
+    #[test]
+    fn every_reply_with_a_result_of_another_tf_count_is_invalid(
+        reply in any_reply(1..9),
+        pick in any::<usize>(),
+        grow in any::<bool>(),
+    ) {
+        let decoded = read_is_bounded(&laid_out(&reply))?
+            .map_err(|e| TestCaseError::fail(format!("laid-out frame refused: {e}")))?;
+        let msg = Message::Reply(reply);
+        prop_assert_eq!(fields(&decoded), fields(&msg));
+
+        let Message::Reply(mut reply) = msg else { unreachable!() };
+        let n = reply.results.len();
+        let tfs = &mut reply.results[pick % n].tfs;
+        match grow || tfs.is_empty() {
+            true => tfs.push(0.5),
+            false => drop(tfs.pop()),
+        }
+        let read = read_is_bounded(&laid_out(&reply))?;
+        prop_assert_eq!(read.map(drop).map_err(|e| e.kind()), Err(std::io::ErrorKind::InvalidData));
+        let mut wire = Vec::new();
+        let written = write_message(&mut wire, &Message::Reply(reply));
+        prop_assert_eq!(written.map_err(|e| e.kind()), Err(std::io::ErrorKind::InvalidData));
+        prop_assert!(wire.is_empty(), "nothing of a refused reply is sent");
     }
 
     #[test]
@@ -439,4 +518,66 @@ fn a_version_1_shard_is_refused_at_handshake() {
         detail.contains(&format!("protocol version {PROTO_VERSION}")),
         "the refusal names the version the coordinator speaks: {detail}"
     );
+}
+
+// ------------------------------------------------------- malformed replies
+
+#[test]
+fn a_reply_with_fewer_df_entries_than_terms_degrades_the_query() {
+    // A version-2 shard whose reply is a well-formed frame, but answers a
+    // one-term query: one df entry, one tf per result.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let shard = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        assert_eq!(read_message(&mut stream).unwrap(), Message::Ping);
+        let info = ShardInfo {
+            shard_id: 0,
+            proto_version: PROTO_VERSION,
+            total_states: 3,
+            index_bytes: 0,
+            term_count: 2,
+        };
+        write_message(&mut stream, &Message::Pong(info)).unwrap();
+        let Message::Eval(request) = read_message(&mut stream).unwrap() else {
+            panic!("the coordinator ships an Eval");
+        };
+        assert_eq!(request.query.terms.len(), 2);
+        let reply = EvalReply {
+            id: request.id,
+            results: vec![ShardResult {
+                shard: 0,
+                url: "http://v/w?1".into(),
+                doc: DocKey {
+                    page: 0,
+                    state: StateId(0),
+                },
+                base_score: 1.0,
+                tfs: vec![0.5],
+            }],
+            stats: ShardTermStats {
+                total_states: 3,
+                df: vec![1],
+            },
+        };
+        write_message(&mut stream, &Message::Reply(reply)).unwrap();
+        stream // held open until the coordinator is gone
+    });
+    let transport = TcpTransport::connect(
+        vec![ShardEndpoint::direct(addr)],
+        TcpTransportConfig::default(),
+    )
+    .unwrap();
+    let mut server = ShardServer::from_transport(
+        Box::new(transport),
+        RankWeights::default(),
+        ServeConfig::default(),
+        None,
+    );
+    let response = server.search("wow dance").unwrap();
+    assert!(response.degraded, "{response:?}");
+    assert_eq!(response.missing_shards, vec![0]);
+    assert!(response.results.is_empty());
+    server.shutdown();
+    shard.join().unwrap();
 }

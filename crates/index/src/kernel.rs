@@ -35,9 +35,6 @@ pub struct ScoreScratch {
     /// One decode buffer per query term for mapped (v4) posting runs; owned
     /// indexes leave them untouched.
     pub(crate) term_bufs: Vec<TermScratch>,
-    /// Normalized tf per query term of each hit scored: kept, `k` per hit,
-    /// by the broker; taken hit by hit into owned results by `eval_shard`.
-    pub(crate) tfs: Vec<f64>,
 }
 
 impl ScoreScratch {

@@ -58,7 +58,7 @@ pub use persist::{
 };
 pub use query::{search, search_top_k, Query, RankWeights, SearchResult};
 pub use shard::{
-    eval_shard, eval_shard_with_scratch, merge_shard_outputs, BrokerResult, QueryBroker,
-    ShardResult, ShardTermStats,
+    eval_shard, eval_shard_into, merge_hits, merge_shard_outputs, BrokerResult, QueryBroker,
+    ShardHits, ShardResult, ShardTermStats,
 };
 pub use tokenize::tokenize;

@@ -9,12 +9,15 @@
 //! hit's score with `w3·Σ tf·idf`, merges and ranks — Steps 1 and 2 of
 //! Fig 6.4.
 //!
-//! [`QueryBroker::search`], [`merge_shard_outputs`] and the serving paths
-//! built on [`eval_shard`] run the same three pieces: one scoring loop, one
-//! score completion and one total rank order. A hit stays numbers until it
-//! is returned: the broker keeps a query's hits in one flat buffer and
-//! ranks them in place, and a result shares its page's URL with the index
-//! (an `Arc<str>` made once per page) instead of copying it.
+//! Every path runs the same three pieces: one scoring loop
+//! ([`eval_shard_into`]), one score completion and one total rank order
+//! ([`merge_hits`]). A hit stays numbers until it is returned: a shard's
+//! answer is one [`ShardHits`] batch — one result per hit and one flat run
+//! of tfs — whether it stays in the process ([`QueryBroker::search`]),
+//! crosses a thread (`ajax-serve`) or the wire (`ajax-dist`), and a result
+//! shares its page's URL with the index (an `Arc<str>` made once per page)
+//! instead of copying it. [`eval_shard`] and [`merge_shard_outputs`] are the
+//! same two steps with one owned [`ShardResult`] per hit.
 
 use crate::invert::{DocKey, InvertedIndex, PostingList, TermScratch};
 use crate::kernel::{self, ScoreScratch};
@@ -23,9 +26,8 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// A shard-local result before the global tf·idf completion — the owned
-/// per-shard batch that serving workers and shard servers hand to the
-/// merger across a thread or the wire.
+/// A shard-local result before the global tf·idf completion, with its own
+/// tfs: the owned form of one hit of a [`ShardHits`] batch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardResult {
     pub shard: usize,
@@ -40,7 +42,7 @@ pub struct ShardResult {
 }
 
 /// Per-shard term statistics returned alongside results.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardTermStats {
     /// `|{s | s ∈ Idx}|` — states in the shard.
     pub total_states: u64,
@@ -55,6 +57,60 @@ pub struct BrokerResult {
     pub url: Arc<str>,
     pub doc: DocKey,
     pub score: f64,
+}
+
+/// One shard's answer to one query as numbers: what [`eval_shard_into`]
+/// fills, a serving worker or a shard server hands on, a `Reply` frame
+/// carries, and [`merge_hits`] ranks.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ShardHits {
+    /// One result per hit, in doc order. Its `score` is the local base,
+    /// `w1·PageRank + w2·AJAXRank + w4·proximity`, until [`merge_hits`]
+    /// completes it.
+    pub hits: Vec<BrokerResult>,
+    /// The raw normalized tf per query term of every hit: `k` per hit, back
+    /// to back, in the order of `hits`.
+    pub tfs: Vec<f64>,
+    /// The shard's `(N, df)`: one df per query term.
+    pub stats: ShardTermStats,
+}
+
+impl ShardHits {
+    /// True when the batch is shaped as an answer to `query`: one df per
+    /// query term and that many tfs per hit. [`merge_hits`] requires it of
+    /// every batch, so a batch from outside the process is checked first.
+    pub fn fits(&self, query: &Query) -> bool {
+        let k = query.terms.len();
+        self.stats.df.len() == k && k.checked_mul(self.hits.len()) == Some(self.tfs.len())
+    }
+
+    /// Each hit with its tfs, `stats.df.len()` of them; a hit past the end
+    /// of `tfs` gets none.
+    pub fn per_hit(&self) -> impl Iterator<Item = (&BrokerResult, &[f64])> + Clone {
+        let k = self.stats.df.len();
+        (self.hits.iter().enumerate())
+            .map(move |(i, hit)| (hit, self.tfs.get(i * k..(i + 1) * k).unwrap_or_default()))
+    }
+
+    /// The batch as owned results, each with its own tfs.
+    pub fn into_results(self) -> (Vec<ShardResult>, ShardTermStats) {
+        let k = self.stats.df.len();
+        let mut tfs = self.tfs.as_slice();
+        let results = (self.hits.into_iter())
+            .map(|hit| {
+                let (own, rest) = tfs.split_at(k.min(tfs.len()));
+                tfs = rest;
+                ShardResult {
+                    shard: hit.shard,
+                    url: hit.url,
+                    doc: hit.doc,
+                    base_score: hit.score,
+                    tfs: own.to_vec(),
+                }
+            })
+            .collect();
+        (results, self.stats)
+    }
 }
 
 /// The central "Search Application" that ships queries to every shard and
@@ -108,78 +164,71 @@ impl QueryBroker {
 
     /// Computes the global idf of each query term from per-shard stats:
     /// `idf(k) = ln( Σ_i |Idx_i| / Σ_i df_i(k) )` — the §6.5.2 formula.
-    pub fn global_idf(query: &Query, stats: &[ShardTermStats]) -> Vec<f64> {
-        let total: u64 = stats.iter().map(|s| s.total_states).sum();
-        (0..query.terms.len())
-            .map(|t| {
-                let df: u64 = stats.iter().map(|s| s.df[t]).sum();
-                if df == 0 || total == 0 {
-                    0.0
-                } else {
-                    (total as f64 / df as f64).ln()
-                }
+    /// The sums saturate instead of overflowing, and a shard without a df
+    /// for a term adds nothing to it.
+    pub fn global_idf<'a>(
+        query: &Query,
+        stats: impl IntoIterator<Item = &'a ShardTermStats>,
+    ) -> Vec<f64> {
+        let mut total = 0u64;
+        let mut df = vec![0u64; query.terms.len()];
+        for s in stats {
+            total = total.saturating_add(s.total_states);
+            for (sum, &n) in df.iter_mut().zip(&s.df) {
+                *sum = sum.saturating_add(n);
+            }
+        }
+        (df.into_iter())
+            .map(|df| match df == 0 || total == 0 {
+                true => 0.0,
+                false => (total as f64 / df as f64).ln(),
             })
             .collect()
     }
 
     /// Full distributed evaluation: ship, collect, complete scores with the
-    /// global tf·idf (Step 1 of Fig 6.4), merge and rank (Step 2).
-    ///
-    /// Every shard's hits go into one per-query buffer — one result per hit,
-    /// its score the local base until completed, and one flat run of `k` tfs
-    /// per hit — so no per-shard result batch is built. `ajax_serve` runs
-    /// the same scoring loop through [`eval_shard`] on worker threads and the
-    /// same completion and rank order through [`merge_shard_outputs`], so
-    /// both paths return the same results, score bits included.
+    /// global tf·idf (Step 1 of Fig 6.4), merge and rank (Step 2) — one
+    /// [`eval_shard_into`] per shard and one [`merge_hits`], the two calls
+    /// the serving and distributed paths make, so all of them return the
+    /// same results, score bits included.
     pub fn search(&self, query: &Query) -> Vec<BrokerResult> {
         if query.is_empty() {
             return Vec::new();
         }
         let mut scratch = ScoreScratch::new();
-        let mut hits = Vec::new();
-        let stats: Vec<ShardTermStats> = (self.shards.iter().enumerate())
+        let batches = (self.shards.iter().enumerate())
             .map(|(i, shard)| {
-                score_shard(shard, query, &self.weights, &mut scratch, |doc, base, _| {
-                    let url = Arc::clone(&shard.pages[doc.page as usize].url);
-                    hits.push(BrokerResult {
-                        shard: i,
-                        url,
-                        doc,
-                        score: base,
-                    });
-                })
+                let mut batch = ShardHits::default();
+                eval_shard_into(shard, i, query, &self.weights, &mut scratch, &mut batch);
+                batch
             })
             .collect();
-        let idf = Self::global_idf(query, &stats);
-        let tfs = scratch.tfs.chunks_exact(query.terms.len());
-        for (hit, tfs) in hits.iter_mut().zip(tfs) {
-            hit.score = complete(hit.score, tfs, &idf, &self.weights);
-        }
-        rank(&mut hits);
-        hits
+        merge_hits(query, &self.weights, batches)
     }
 }
 
-/// The one scoring loop. Intersects `query`'s posting runs on `shard` and,
-/// for every hit in ascending doc order, appends the hit's normalized tf per
-/// query term to `scratch.tfs` and calls `hit(doc, base, &mut scratch.tfs)`
-/// with `base = w1·PageRank + w2·AJAXRank + w4·proximity`. The query arrives
-/// already parsed and normalized (tokenization happens once per query, not
-/// once per shard), and each term's posting run is fetched exactly once,
-/// serving both the df statistic and the intersection.
-fn score_shard(
+/// The one scoring loop, the "query shipping" leg: replaces `out` with the
+/// hits of `query` on `shard`, in ascending doc order, each scored with its
+/// local base `w1·PageRank + w2·AJAXRank + w4·proximity` and followed in
+/// `out.tfs` by its normalized tf per query term, plus the shard's
+/// `(N, df)`. The query arrives already parsed and normalized (tokenization
+/// happens once per query, not once per shard), each term's posting run is
+/// fetched exactly once, serving both the df statistic and the
+/// intersection, and steady-state evaluation reuses every buffer of
+/// `scratch` and `out`.
+pub fn eval_shard_into(
     shard: &InvertedIndex,
+    shard_idx: usize,
     query: &Query,
     weights: &RankWeights,
     scratch: &mut ScoreScratch,
-    mut hit: impl FnMut(DocKey, f64, &mut Vec<f64>),
-) -> ShardTermStats {
+    out: &mut ShardHits,
+) {
     let ScoreScratch {
         cursors,
         events,
         term_counts,
         term_bufs,
-        tfs,
         ..
     } = scratch;
     if term_bufs.len() < query.terms.len() {
@@ -191,58 +240,46 @@ fn score_shard(
         .zip(term_bufs.iter_mut())
         .map(|(t, buf)| shard.postings_in(t, buf))
         .collect();
+    let ShardHits { hits, tfs, stats } = out;
+    hits.clear();
+    tfs.clear();
     kernel::for_each_match(&lists, cursors, |doc, rows| {
         let (pagerank, ajaxrank) = shard.ranks_of(doc);
         let proximity = kernel::proximity_of_rows(&lists, rows, events, term_counts);
         tfs.extend(
             (lists.iter().zip(rows)).map(|(list, &row)| shard.tf_parts(doc, list.count(row))),
         );
-        let base = weights.pagerank * pagerank
-            + weights.ajaxrank * ajaxrank
-            + weights.proximity * proximity;
-        hit(doc, base, tfs);
+        hits.push(BrokerResult {
+            shard: shard_idx,
+            url: Arc::clone(&shard.pages[doc.page as usize].url),
+            doc,
+            score: weights.pagerank * pagerank
+                + weights.ajaxrank * ajaxrank
+                + weights.proximity * proximity,
+        });
     });
-    ShardTermStats {
-        total_states: shard.total_states,
-        df: lists.iter().map(|l| l.len() as u64).collect(),
-    }
+    stats.total_states = shard.total_states;
+    stats.df.clear();
+    stats.df.extend(lists.iter().map(|l| l.len() as u64));
 }
 
-/// Evaluates a query on one shard into an owned batch — the "query
-/// shipping" leg, exposed as a free function so a serving layer can run it
-/// on worker threads without borrowing the whole broker.
+/// [`eval_shard_into`] with a fresh scratch, returning owned results.
 pub fn eval_shard(
     shard: &InvertedIndex,
     shard_idx: usize,
     query: &Query,
     weights: &RankWeights,
 ) -> (Vec<ShardResult>, ShardTermStats) {
-    eval_shard_with_scratch(shard, shard_idx, query, weights, &mut ScoreScratch::new())
-}
-
-/// [`eval_shard`] with a caller-owned [`ScoreScratch`] — serving workers
-/// keep one per thread so steady-state evaluation reuses every buffer.
-pub fn eval_shard_with_scratch(
-    shard: &InvertedIndex,
-    shard_idx: usize,
-    query: &Query,
-    weights: &RankWeights,
-    scratch: &mut ScoreScratch,
-) -> (Vec<ShardResult>, ShardTermStats) {
-    let mut results = Vec::new();
-    scratch.tfs.clear();
-    let stats = score_shard(shard, query, weights, scratch, |doc, base_score, tfs| {
-        let url = Arc::clone(&shard.pages[doc.page as usize].url);
-        let tfs = std::mem::take(tfs);
-        results.push(ShardResult {
-            shard: shard_idx,
-            url,
-            doc,
-            base_score,
-            tfs,
-        });
-    });
-    (results, stats)
+    let mut batch = ShardHits::default();
+    eval_shard_into(
+        shard,
+        shard_idx,
+        query,
+        weights,
+        &mut ScoreScratch::new(),
+        &mut batch,
+    );
+    batch.into_results()
 }
 
 /// A hit's formula-5.3 score: its local `base` plus `w3·Σ tf·idf` over the
@@ -273,11 +310,37 @@ fn rank(results: &mut [BrokerResult]) {
     });
 }
 
-/// The broker-side half of Fig 6.4 for owned per-shard batches: completes
-/// each base score with the global tf·idf and ranks, exactly as
-/// [`QueryBroker::search`] does, so the serving and distributed paths
-/// return its results bit for bit. Shard provenance rides along inside each
-/// [`ShardResult`].
+/// The broker-side half of Fig 6.4: completes every hit's base score with
+/// the global tf·idf of all `batches` and ranks the hits of all of them.
+/// Shard provenance rides along inside each hit.
+///
+/// # Panics
+///
+/// If a batch does not [fit](ShardHits::fits) `query`.
+pub fn merge_hits(
+    query: &Query,
+    weights: &RankWeights,
+    batches: Vec<ShardHits>,
+) -> Vec<BrokerResult> {
+    let idf = QueryBroker::global_idf(query, batches.iter().map(|b| &b.stats));
+    let k = query.terms.len();
+    let mut merged = Vec::new();
+    for mut batch in batches {
+        assert!(batch.fits(query), "a batch of another shape than its query");
+        for (i, hit) in batch.hits.iter_mut().enumerate() {
+            hit.score = complete(hit.score, &batch.tfs[i * k..(i + 1) * k], &idf, weights);
+        }
+        match merged.is_empty() {
+            true => merged = batch.hits,
+            false => merged.append(&mut batch.hits),
+        }
+    }
+    rank(&mut merged);
+    merged
+}
+
+/// [`merge_hits`] over owned results, each carrying its own tfs: the same
+/// completion and rank order, so it returns the same results bit for bit.
 pub fn merge_shard_outputs(
     query: &Query,
     weights: &RankWeights,

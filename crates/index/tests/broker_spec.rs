@@ -8,8 +8,9 @@
 //! the broker's association: `(w1·PR + w2·AR + w4·prox) + w3·Σ tf·idf`,
 //! summed in term order. It sorts them by the one rank order: score
 //! descending by `total_cmp`, then URL bytes, state, shard and page.
-//! `QueryBroker::search` and `merge_shard_outputs` over `eval_shard` must
-//! both equal it in shard, page, URL, state, score bits and order.
+//! `QueryBroker::search`, `merge_shard_outputs` over `eval_shard`, and
+//! `merge_hits` over `eval_shard_into` batches must each equal it in shard,
+//! page, URL, state, score bits and order.
 //!
 //! Corpora are random, with ties forced: pages are copied within and across
 //! shards (same URL, texts and PageRank), URLs repeat, state texts repeat
@@ -22,8 +23,8 @@ use ajax_crawl::pagerank::pagerank_default;
 use ajax_dom::EventType;
 use ajax_index::tokenize::{tokenize, TokenAt};
 use ajax_index::{
-    eval_shard, merge_shard_outputs, BrokerResult, IndexBuilder, InvertedIndex, Query, QueryBroker,
-    RankWeights,
+    eval_shard, eval_shard_into, merge_hits, merge_shard_outputs, BrokerResult, IndexBuilder,
+    InvertedIndex, Query, QueryBroker, RankWeights, ScoreScratch, ShardHits,
 };
 use proptest::prelude::*;
 
@@ -254,9 +255,11 @@ fn hits(results: &[BrokerResult]) -> Vec<Hit> {
         .collect()
 }
 
-/// Both broker paths over `c`: `(QueryBroker::search, merge_shard_outputs
-/// over eval_shard)`.
-fn broker_paths(c: &Corpus) -> (Vec<BrokerResult>, Vec<BrokerResult>) {
+/// The three broker paths over `c`: `QueryBroker::search`,
+/// `merge_shard_outputs` over `eval_shard`, and `merge_hits` over one
+/// `eval_shard_into` batch per shard, every shard reusing one scratch and
+/// one batch as a serving worker does.
+fn broker_paths(c: &Corpus) -> [(&'static str, Vec<BrokerResult>); 3] {
     let shards: Vec<InvertedIndex> = c.shards.iter().map(build).collect();
     let (mut results, mut stats) = (Vec::new(), Vec::new());
     for (i, shard) in shards.iter().enumerate() {
@@ -265,21 +268,33 @@ fn broker_paths(c: &Corpus) -> (Vec<BrokerResult>, Vec<BrokerResult>) {
         stats.push(s);
     }
     let merged = merge_shard_outputs(&c.query, &c.weights, results, &stats);
+    let (mut scratch, mut batch) = (ScoreScratch::new(), ShardHits::default());
+    let batches = (shards.iter().enumerate())
+        .map(|(i, shard)| {
+            eval_shard_into(shard, i, &c.query, &c.weights, &mut scratch, &mut batch);
+            batch.clone()
+        })
+        .collect();
+    let flat = merge_hits(&c.query, &c.weights, batches);
     let mut broker = QueryBroker::new(shards);
     broker.weights = c.weights;
-    (broker.search(&c.query), merged)
+    [
+        ("QueryBroker::search", broker.search(&c.query)),
+        ("merge_shard_outputs over eval_shard", merged),
+        ("merge_hits over eval_shard_into", flat),
+    ]
 }
 
 proptest! {
     #![proptest_config(cases())]
 
     #[test]
-    fn both_broker_paths_equal_the_brute_force_scorer(seed in any::<u64>()) {
+    fn every_broker_path_equals_the_brute_force_scorer(seed in any::<u64>()) {
         let c = corpus(seed);
         let want = brute_force(&c);
-        let (searched, merged) = broker_paths(&c);
-        prop_assert_eq!(hits(&searched), want.clone(), "QueryBroker::search");
-        prop_assert_eq!(hits(&merged), want, "merge_shard_outputs over eval_shard");
+        for (path, results) in broker_paths(&c) {
+            prop_assert_eq!(hits(&results), want.clone(), "{}", path);
+        }
     }
 }
 

@@ -24,11 +24,12 @@
 //!   worker pools or remote shard *processes* (`ajax-dist`) without
 //!   changing any edge logic.
 //!
-//! The worker path runs `QueryBroker::search`'s own scoring loop
-//! ([`ajax_index::eval_shard_with_scratch`], one scratch per worker) and
-//! [`ajax_index::merge_shard_outputs`] runs its score completion and rank
-//! order, so parallel serving is **bit-for-bit identical** to sequential
-//! evaluation (same floating-point expressions, one total rank order).
+//! The worker path runs `QueryBroker::search`'s own two calls: workers fill
+//! a [`ajax_index::ShardHits`] batch with [`ajax_index::eval_shard_into`]
+//! (one scratch per worker), and the caller ranks the batches with
+//! [`ajax_index::merge_hits`], so parallel serving is **bit-for-bit
+//! identical** to sequential evaluation (same floating-point expressions,
+//! one total rank order).
 
 pub mod cache;
 pub mod clock;

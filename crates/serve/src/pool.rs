@@ -2,9 +2,9 @@
 //!
 //! Each shard owns one MPMC job queue (`Mutex<VecDeque>` + `Condvar`)
 //! consumed by `workers_per_shard` OS threads. [`PoolTransport::ship`]
-//! pushes one job per shard; each worker runs
-//! [`ajax_index::eval_shard_with_scratch`] with its own scoring scratch
-//! against its shard's current index and delivers the outcome into the
+//! pushes one job per shard; each worker runs [`ajax_index::eval_shard_into`]
+//! with its own scoring scratch against its shard's current index and
+//! delivers the filled batch into the
 //! per-query [`Rendezvous`] slot indexed by shard, where the calling thread
 //! collects them before merging.
 //!
@@ -16,7 +16,7 @@ use crate::clock::ServeClock;
 use crate::metrics::Metrics;
 use crate::server::ServeConfig;
 use crate::transport::{Rendezvous, ShardOutcome, ShardTransport, TransportError};
-use ajax_index::{eval_shard_with_scratch, InvertedIndex, Query, RankWeights, ScoreScratch};
+use ajax_index::{eval_shard_into, InvertedIndex, Query, RankWeights, ScoreScratch, ShardHits};
 use ajax_net::Micros;
 use ajax_obs::{AttrValue, SpanLog};
 use std::collections::VecDeque;
@@ -181,13 +181,22 @@ fn worker_loop(
         } else {
             let snapshot = index.read().unwrap().clone();
             let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                eval_shard_with_scratch(&snapshot, shard_idx, &query, &weights, &mut scratch)
+                let mut batch = ShardHits::default();
+                eval_shard_into(
+                    &snapshot,
+                    shard_idx,
+                    &query,
+                    &weights,
+                    &mut scratch,
+                    &mut batch,
+                );
+                batch
             }));
             // Under a manual clock, evaluation "costs" virtual time so load
             // tests can model slow shards deterministically.
             clock.advance(eval_cost_micros);
             match evaluated {
-                Ok((results, stats)) => ShardOutcome::Evaluated(results, stats),
+                Ok(batch) => ShardOutcome::Evaluated(batch),
                 Err(_) => {
                     // The scratch may be poisoned mid-panic; start fresh.
                     scratch = ScoreScratch::new();

@@ -10,20 +10,21 @@
 //! 2. **cache lookup** — a hit answers immediately from the LRU;
 //! 3. **fan-out** — the transport ships the query to every shard; shards
 //!    evaluate in parallel and deliver into a per-query slot array;
-//! 4. **merge** — the caller collects replies *in shard order* and runs
-//!    [`ajax_index::merge_shard_outputs`], the score completion and rank
-//!    order the sequential broker uses, so results are bit-identical to
-//!    `QueryBroker::search`;
+//! 4. **merge** — the caller collects the shards' batches *in shard order*
+//!    and runs [`ajax_index::merge_hits`], the merge the sequential broker
+//!    runs, so results are bit-identical to `QueryBroker::search`;
 //! 5. **degradation** — with a deadline configured, shards that miss it are
 //!    skipped: the response carries whatever arrived, flagged `degraded`,
-//!    with the missing shard ids listed. Degraded results are not cached.
+//!    with the missing shard ids listed. A batch not shaped as an answer to
+//!    the query (a malformed remote reply) counts as missing too. Degraded
+//!    results are not cached.
 
 use crate::cache::{cache_key, QueryCache};
 use crate::clock::ServeClock;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::pool::PoolTransport;
 use crate::transport::{Rendezvous, ShardOutcome, ShardTransport};
-use ajax_index::{merge_shard_outputs, BrokerResult, Query, QueryBroker, RankWeights};
+use ajax_index::{merge_hits, BrokerResult, Query, QueryBroker, RankWeights};
 use ajax_net::Micros;
 use ajax_obs::{AttrValue, SpanEvent, SpanLog};
 use std::fmt;
@@ -433,25 +434,20 @@ impl ShardServer {
             _ => reply.wait_all(),
         };
 
-        // Merge: the sequential broker's score completion and rank order,
-        // hence bit-identical results when nothing is missing.
-        let mut all_results = Vec::new();
-        let mut all_stats = Vec::new();
+        // Merge: the sequential broker's merge, hence bit-identical results
+        // when nothing is missing. A batch of another shape than the query
+        // (a remote shard's malformed reply) is left out, never merged.
+        let mut batches = Vec::with_capacity(replies.len());
         let mut missing = Vec::new();
         for (shard_idx, slot) in replies.into_iter().enumerate() {
             match slot {
-                Some(ShardOutcome::Evaluated(results, stats)) => {
-                    all_results.extend(results);
-                    all_stats.push(stats);
-                }
-                Some(ShardOutcome::TimedOut) | Some(ShardOutcome::Failed) | None => {
-                    missing.push(shard_idx)
-                }
+                Some(ShardOutcome::Evaluated(batch)) if batch.fits(query) => batches.push(batch),
+                _ => missing.push(shard_idx),
             }
         }
         let degraded = !missing.is_empty();
         let merge_start = self.config.clock.now_micros();
-        let results = merge_shard_outputs(query, &self.weights, all_results, &all_stats);
+        let results = merge_hits(query, &self.weights, batches);
         if self.tracing() {
             let merge_span = if self.transport.is_remote() {
                 "dist.merge"

@@ -14,11 +14,11 @@
 //!   length-prefixed TCP protocol, with pipelined shipping and hedging.
 //!
 //! Both deliver outcomes into the same rendezvous and the caller merges them
-//! with the broker's own completion and rank order, so every transport
-//! inherits the serving layer's bit-identical equivalence to the sequential
+//! with the broker's own `merge_hits`, so every transport inherits the
+//! serving layer's bit-identical equivalence to the sequential
 //! `QueryBroker`.
 
-use ajax_index::{InvertedIndex, Query, RankWeights, ShardResult, ShardTermStats};
+use ajax_index::{InvertedIndex, Query, RankWeights, ShardHits};
 use ajax_net::Micros;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
@@ -26,7 +26,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// What a shard (worker thread or remote process) reports back for one job.
 #[derive(Debug)]
 pub enum ShardOutcome {
-    Evaluated(Vec<ShardResult>, ShardTermStats),
+    /// The shard's batch, scored with local bases until the merge.
+    Evaluated(ShardHits),
     /// The job's deadline had already passed when the shard picked it up.
     TimedOut,
     /// Evaluation failed (worker panicked, connection died, …) — treated

@@ -1,15 +1,23 @@
 //! End-to-end observability: a traced build emits a valid, deterministic
 //! Chrome trace; the profile rollup covers every pipeline phase; tracing off
-//! means no spans at all; and the serve layer's flight recorder works under
-//! a manual clock.
+//! means no spans at all; the serve layer's flight recorder works under a
+//! manual clock; and a shard's wire spans time the frame, not the idle
+//! connection.
 
+use ajax_crawl::model::AppModel;
+use ajax_dist::proto::{read_message, write_message, EvalRequest, Message};
+use ajax_dist::ShardHandle;
 use ajax_engine::{AjaxSearchEngine, EngineConfig};
+use ajax_index::{IndexBuilder, Query, RankWeights};
 use ajax_net::{Server, Url};
-use ajax_obs::{chrome_trace_json, chrome_trace_json_named, validate_chrome_trace, ProfileRollup};
+use ajax_obs::{
+    chrome_trace_json, chrome_trace_json_named, validate_chrome_trace, ProfileRollup, SpanLog,
+};
 use ajax_serve::{ServeClock, ServeConfig};
 use ajax_webgen::{VidShareServer, VidShareSpec};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::net::TcpStream;
+use std::sync::{Arc, Mutex};
 
 fn vidshare(n: u32) -> (Arc<VidShareServer>, Url) {
     let spec = VidShareSpec::small(n);
@@ -147,4 +155,38 @@ fn invert_and_serve_query_spans_identical_across_same_seed_runs() {
     assert_eq!(invert_a, invert_b, "index.invert spans must be identical");
     assert_eq!(queries_a.len(), 3);
     assert_eq!(queries_a, queries_b, "serve.query spans must be identical");
+}
+
+/// A shard's `rpc.recv` covers receiving and decoding a frame, not the time
+/// the connection sat idle before it arrived.
+#[test]
+fn shard_rpc_recv_leaves_out_the_idle_wait_before_a_frame() {
+    let mut model = AppModel::new("http://x/1");
+    model.add_state(1, "wow great video".to_string(), None);
+    let mut builder = IndexBuilder::new();
+    builder.add_model(&model, Some(0.3));
+    let trace = Arc::new(Mutex::new(SpanLog::with_capacity(64)));
+    let shard = ShardHandle::spawn(Arc::new(builder.build()), 0, 0, Some(Arc::clone(&trace)))
+        .expect("spawn a shard");
+    let mut conn = TcpStream::connect(shard.addr).expect("connect");
+    // A round trip first, so the connection thread is surely waiting for the
+    // next frame while this one idles.
+    let mut round_trip = |msg: Message| {
+        write_message(&mut conn, &msg).expect("send");
+        read_message(&mut conn).expect("answer")
+    };
+    assert!(matches!(round_trip(Message::Ping), Message::Pong(_)));
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let eval = EvalRequest {
+        id: 5,
+        query: Query::parse("wow"),
+        weights: RankWeights::default(),
+    };
+    assert!(matches!(round_trip(Message::Eval(eval)), Message::Reply(_)));
+    let spans = trace.lock().expect("trace lock").take();
+    let recv = spans
+        .iter()
+        .find(|s| s.name == "rpc.recv")
+        .expect("an rpc.recv span");
+    assert!(recv.dur < 50_000, "rpc.recv lasted {} µs", recv.dur);
 }
