@@ -75,7 +75,7 @@ fn main() {
     println!("{}", srv.render());
     util::write_json("serving", &srv);
 
-    // Columnar index: build throughput, query percentiles, kernel speedup.
+    // Columnar index: build throughput, query percentiles, cold start.
     let iperf = index_perf::collect(scale.query_pages);
     println!("{}", iperf.render());
     util::write_json("index_perf", &iperf);
@@ -134,11 +134,8 @@ fn main() {
         srv.burst_lost
     );
     println!(
-        "index kernel ({}): x{:.2} over pre-columnar reference, p50 {:.1} µs / p95 {:.1} µs",
-        iperf.kernel.site,
-        iperf.kernel.speedup,
-        iperf.sites[0].query_p50_micros,
-        iperf.sites[0].query_p95_micros,
+        "index kernel ({}): p50 {:.1} µs / p95 {:.1} µs",
+        iperf.sites[0].site, iperf.sites[0].query_p50_micros, iperf.sites[0].query_p95_micros,
     );
     println!(
         "distributed: QPS {} at 1/2/4 shards, slow-shard p99 {:.1} → {:.1} ms \

@@ -1,6 +1,6 @@
 //! Index-layout performance: build throughput, query latency percentiles,
-//! and the columnar kernel's measured speedup over the pre-columnar
-//! reference, on both synthetic sites. Writes `BENCH_index.json` in the
+//! v4 bytes on disk and cold start, on both synthetic sites. Writes
+//! `BENCH_index.json` in the
 //! working directory (the repo's perf baseline) in addition to the usual
 //! `target/experiments/index_perf.json` dump.
 //!

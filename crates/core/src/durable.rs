@@ -338,31 +338,22 @@ impl MappedFrame {
     }
 }
 
-/// What [`map_framed`] found on disk.
-#[derive(Debug)]
-pub enum MapRead {
-    /// A checksummed frame that validated end to end, payload left in place.
-    Framed(MappedFrame),
-    /// The first line is not a frame header; raw bytes for a legacy parse.
-    NotFramed(Vec<u8>),
-}
-
 /// [`read_framed`], zero-copy: memory-maps `path`, validates the frame in
 /// place and hands back a [`MappedFrame`] whose payload borrows the mapping.
-/// Unframed (legacy) files are small JSON documents — those are returned as
-/// owned bytes like [`read_framed`] does.
-pub fn map_framed(path: impl AsRef<Path>) -> Result<MapRead, DurableError> {
+/// A file whose first line is not a frame header comes back as `None`; its
+/// bytes are never copied.
+pub fn map_framed(path: impl AsRef<Path>) -> Result<Option<MappedFrame>, DurableError> {
     let path = path.as_ref();
     let buf = crate::mapfile::MappedFile::open(path).map_err(|e| io_err(path, e))?;
-    match validate_frame(&buf, path)? {
-        Some((magic, version, payload)) => Ok(MapRead::Framed(MappedFrame {
-            buf,
-            magic,
-            version,
-            payload,
-        })),
-        None => Ok(MapRead::NotFramed(buf.as_slice().to_vec())),
-    }
+    let Some((magic, version, payload)) = validate_frame(&buf, path)? else {
+        return Ok(None);
+    };
+    Ok(Some(MappedFrame {
+        buf,
+        magic,
+        version,
+        payload,
+    }))
 }
 
 /// What `fsck` learned about one file.
@@ -462,14 +453,10 @@ mod tests {
             }
             other => panic!("expected framed, got {other:?}"),
         }
-        match map_framed(&path).unwrap() {
-            MapRead::Framed(frame) => {
-                assert_eq!(frame.magic, "ajax-bin");
-                assert_eq!(frame.version, 4);
-                assert_eq!(frame.payload(), payload.as_slice());
-            }
-            MapRead::NotFramed(_) => panic!("expected mapped frame"),
-        }
+        let frame = map_framed(&path).unwrap().expect("a mapped frame");
+        assert_eq!(frame.magic, "ajax-bin");
+        assert_eq!(frame.version, 4);
+        assert_eq!(frame.payload(), payload.as_slice());
         fs::remove_file(&path).ok();
     }
 
@@ -496,13 +483,10 @@ mod tests {
     }
 
     #[test]
-    fn map_framed_falls_back_to_legacy_bytes() {
-        let path = temp("map_legacy");
+    fn map_framed_reports_an_unframed_file_as_none() {
+        let path = temp("map_unframed");
         fs::write(&path, b"{\"not\": \"framed\"}").unwrap();
-        match map_framed(&path).unwrap() {
-            MapRead::NotFramed(bytes) => assert_eq!(bytes, b"{\"not\": \"framed\"}"),
-            MapRead::Framed(_) => panic!("legacy JSON must not parse as a frame"),
-        }
+        assert!(map_framed(&path).unwrap().is_none());
         fs::remove_file(&path).ok();
     }
 

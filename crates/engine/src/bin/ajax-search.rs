@@ -827,9 +827,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 
 /// `ajax-search fsck FILE|DIR` — validate persisted artifacts (indexes,
 /// model files, checkpoint journals) without loading them into an engine.
-/// Reports, per file: OK, legacy (readable but pre-frame, no checksum),
-/// repairable damage (a stale `.tmp` from an interrupted commit, or a torn
-/// checkpoint superseded by a valid older snapshot), or fatal damage.
+/// Reports, per file: OK, legacy (unframed, no checksum), repairable damage
+/// (a stale `.tmp` from an interrupted commit, or a torn checkpoint
+/// superseded by a valid older snapshot), or fatal damage, which includes
+/// an index of any format but v4.
 /// Exits nonzero only on fatal damage.
 fn cmd_fsck(args: &[String]) -> Result<(), String> {
     use ajax_crawl::durable::{self, Inspection};
@@ -883,34 +884,21 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
                 payload_len,
             }) => {
                 // Frame-valid index files are further classified by format
-                // version: only the current v4 segment is fully OK; a v3
-                // (JSON) frame is readable but previous-generation; any
-                // other version is unreadable by this build.
+                // version: this build reads the v4 segment and nothing else.
                 if magic == ajax_index::INDEX_MAGIC {
-                    match version {
-                        ajax_index::INDEX_FORMAT_VERSION => {
-                            println!(
-                                "OK         {name}: {magic} v{version} (mmap-able segment), \
-                                 {payload_len} payload bytes, checksum verified"
-                            );
-                            ok += 1;
-                        }
-                        ajax_index::INDEX_V3_VERSION => {
-                            println!(
-                                "LEGACY     {name}: {magic} v{version} (JSON) — still \
-                                 loadable; rewrite with the current build for the \
-                                 compressed mmap-able v4 segment"
-                            );
-                            legacy += 1;
-                        }
-                        other => {
-                            println!(
-                                "FATAL      {name}: {magic} v{other} is not readable by \
-                                 this build (reads v4 and v3) — rebuild with \
-                                 `ajax-search build`"
-                            );
-                            fatal += 1;
-                        }
+                    if version == ajax_index::INDEX_FORMAT_VERSION {
+                        println!(
+                            "OK         {name}: {magic} v{version} (mmap-able segment), \
+                             {payload_len} payload bytes, checksum verified"
+                        );
+                        ok += 1;
+                    } else {
+                        println!(
+                            "FATAL      {name}: {magic} v{version} is not readable by this \
+                             build (reads v{}) — rebuild with `ajax-search build`",
+                            ajax_index::INDEX_FORMAT_VERSION
+                        );
+                        fatal += 1;
                     }
                 } else {
                     println!("OK         {name}: {magic} v{version}, {payload_len} payload bytes, checksum verified");
@@ -919,8 +907,8 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
             }
             Ok(Inspection::Legacy { bytes }) => {
                 println!(
-                    "LEGACY     {name}: unframed ({bytes} bytes) — readable, but has no \
-                     checksum; rewrite with the current build for crash safety"
+                    "LEGACY     {name}: unframed ({bytes} bytes), no checksum — a bare model \
+                     array still loads, an index must be rebuilt with `ajax-search build`"
                 );
                 legacy += 1;
             }

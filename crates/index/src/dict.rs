@@ -19,7 +19,6 @@
 //! determinism contract of `docs/index-internals.md` rests on.
 
 use crate::segment::MappedDict;
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::hash::{Hash, Hasher};
 
 /// Dense identifier of a term: its rank in the sorted dictionary.
@@ -37,7 +36,7 @@ enum DictRepr {
         /// Sorted term column; `TermId` = index.
         terms: Vec<String>,
         /// Open-addressing table of `TermId + 1` (0 = empty slot). Always a
-        /// power of two, ≥ 2× the term count. Rebuilt on deserialize — never
+        /// power of two, ≥ 2× the term count. Derived from `terms` — never
         /// persisted.
         buckets: Vec<u32>,
     },
@@ -92,23 +91,14 @@ impl TermDict {
         matches!(self.repr, DictRepr::Mapped(_))
     }
 
-    /// The term with the given id. Owned dictionaries only — mapped terms
-    /// have no resident string to borrow; use [`TermDict::decode_term`].
-    pub fn term(&self, id: TermId) -> &str {
+    /// The term with the given id, borrowed — the merge's dictionary join.
+    /// Owned dictionaries only: mapped terms have no resident string to
+    /// borrow; use [`TermDict::decode_term`].
+    pub(crate) fn term(&self, id: TermId) -> &str {
         match &self.repr {
             DictRepr::Owned { terms, .. } => &terms[id as usize],
             DictRepr::Mapped(_) => {
                 panic!("TermDict::term on a mapped dictionary; use decode_term")
-            }
-        }
-    }
-
-    /// The sorted term column. Owned dictionaries only.
-    pub fn terms(&self) -> &[String] {
-        match &self.repr {
-            DictRepr::Owned { terms, .. } => terms,
-            DictRepr::Mapped(_) => {
-                panic!("TermDict::terms on a mapped dictionary; decode terms individually")
             }
         }
     }
@@ -209,29 +199,6 @@ impl PartialEq for TermDict {
     }
 }
 
-impl Serialize for TermDict {
-    fn serialize(&self) -> Value {
-        let mut buf = Vec::new();
-        Value::Array(
-            (0..self.len() as TermId)
-                .map(|id| Value::Str(self.decode_term(id, &mut buf).to_string()))
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for TermDict {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        let terms = Vec::<String>::deserialize(value)?;
-        if !terms.windows(2).all(|w| w[0] < w[1]) {
-            return Err(DeError::new(
-                "term dictionary not sorted/deduplicated".to_string(),
-            ));
-        }
-        Ok(Self::from_sorted(terms))
-    }
-}
-
 fn build_buckets(terms: &[String]) -> Vec<u32> {
     if terms.is_empty() {
         return Vec::new();
@@ -270,8 +237,9 @@ mod tests {
     #[test]
     fn lookup_finds_every_term() {
         let d = dict(&["wow", "dance", "morcheeba", "a", "2"]);
+        let mut buf = Vec::new();
         for id in 0..d.len() as u32 {
-            let term = d.term(id).to_string();
+            let term = d.decode_term(id, &mut buf).to_string();
             assert_eq!(d.lookup(&term), Some(id));
         }
         assert_eq!(d.lookup("absent"), None);
@@ -281,9 +249,10 @@ mod tests {
     #[test]
     fn ids_are_sorted_ranks() {
         let d = dict(&["charlie", "alpha", "bravo"]);
-        assert_eq!(d.term(0), "alpha");
-        assert_eq!(d.term(1), "bravo");
-        assert_eq!(d.term(2), "charlie");
+        let mut buf = Vec::new();
+        assert_eq!(d.decode_term(0, &mut buf), "alpha");
+        assert_eq!(d.decode_term(1, &mut buf), "bravo");
+        assert_eq!(d.decode_term(2, &mut buf), "charlie");
     }
 
     #[test]
@@ -298,8 +267,9 @@ mod tests {
     fn decode_term_matches_term() {
         let d = dict(&["zebra", "zeal", "zero"]);
         let mut buf = Vec::new();
-        for id in 0..d.len() as u32 {
-            assert_eq!(d.decode_term(id, &mut buf), d.term(id));
+        for (id, want) in (0..).zip(["zeal", "zebra", "zero"]) {
+            assert_eq!(d.decode_term(id, &mut buf), want);
+            assert_eq!(d.term(id), want);
         }
     }
 
@@ -319,20 +289,5 @@ mod tests {
         let b = TermDict::from_sorted(v);
         assert_eq!(a, b);
         assert_eq!(a.approx_bytes(), b.approx_bytes());
-    }
-
-    #[test]
-    fn serde_roundtrip_rebuilds_lookup() {
-        let d = dict(&["x", "y", "zebra"]);
-        let v = d.serialize();
-        let back = TermDict::deserialize(&v).unwrap();
-        assert_eq!(d, back);
-        assert_eq!(back.lookup("zebra"), Some(2));
-    }
-
-    #[test]
-    fn deserialize_rejects_unsorted() {
-        let v = Value::Array(vec![Value::Str("b".into()), Value::Str("a".into())]);
-        assert!(TermDict::deserialize(&v).is_err());
     }
 }

@@ -40,7 +40,7 @@ use crate::segment::{self, MappedPostings};
 use crate::tokenize::for_each_token;
 use ajax_crawl::model::{AppModel, StateId};
 use ajax_crawl::pagerank::pagerank_default;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -98,18 +98,6 @@ fn check_fits(column: &'static str, len: u64, limit: u64) -> Result<(), IndexBui
     } else {
         Ok(())
     }
-}
-
-/// A borrowed view of one posting: where a term occurs and how often.
-/// Replaces the old owned `Posting { doc, count, positions: Vec<u32> }` —
-/// the positions now point into the index's shared arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PostingRef<'a> {
-    pub doc: DocKey,
-    /// Raw occurrence count of the term in the state.
-    pub count: u32,
-    /// Token positions of the occurrences (for term proximity).
-    pub positions: &'a [u32],
 }
 
 /// Where a posting list's positions come from.
@@ -172,11 +160,10 @@ impl<'a> PostingList<'a> {
         self.counts[i]
     }
 
-    /// The position slice of posting `i` in the shared arena. Only available
-    /// when the positions are arena-backed (owned index); mapped posting
-    /// lists decode positions lazily — use
-    /// [`PostingList::for_each_position`].
-    pub fn positions(&self, i: usize) -> &'a [u32] {
+    /// The position slice of posting `i` in the shared arena — the merge's
+    /// copy. Arena-backed (owned) lists only; mapped posting lists decode
+    /// positions lazily through [`PostingList::for_each_position`].
+    pub(crate) fn positions(&self, i: usize) -> &'a [u32] {
         match self.pos {
             PosSrc::Arena { pos_offsets, arena } => {
                 let off = pos_offsets[i] as usize;
@@ -213,20 +200,6 @@ impl<'a> PostingList<'a> {
             }
         }
     }
-
-    /// Borrowed posting view — arena-backed lists only (see
-    /// [`PostingList::positions`]).
-    pub fn get(&self, i: usize) -> PostingRef<'a> {
-        PostingRef {
-            doc: self.docs[i],
-            count: self.counts[i],
-            positions: self.positions(i),
-        }
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = PostingRef<'a>> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
 }
 
 /// Reusable decode target for one term's posting run on a mapped index.
@@ -251,7 +224,7 @@ impl TermScratch {
 }
 
 /// Per-page metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PageEntry {
     /// Made once per page; every result on the page shares it.
     pub url: Arc<str>,
@@ -292,7 +265,12 @@ impl Default for OwnedStore {
 }
 
 /// The posting columns: resident vectors, or byte sections of an mmap-ed v4
-/// segment decoded on demand.
+/// segment decoded on demand. Which one depends on where the index came
+/// from: a build or merge yields `Owned`, `load_index` yields `Mapped`.
+/// Serving a built index from its own segment bytes instead would make one
+/// store, but it costs every query a run decode; EXPERIMENTS.md, "Why a
+/// built index stays columnar", measured it on `serve-zipf` and
+/// `dist-2shard`.
 #[derive(Debug, Clone)]
 pub(crate) enum Store {
     Owned(OwnedStore),
@@ -360,7 +338,7 @@ impl InvertedIndex {
     }
 
     /// The owned columns — borrowed in place for an owned index, fully
-    /// decoded for a mapped one (merge, v3 re-save, equality).
+    /// decoded for a mapped one (re-save, equality).
     pub(crate) fn owned_store(&self) -> Cow<'_, OwnedStore> {
         match &self.store {
             Store::Owned(s) => Cow::Borrowed(s),
@@ -412,7 +390,7 @@ impl InvertedIndex {
     /// The posting run of a known `TermId`, borrowed from the owned columns.
     /// Mapped indexes need a decode scratch — use
     /// [`InvertedIndex::postings_by_id_in`].
-    pub fn postings_by_id(&self, id: TermId) -> PostingList<'_> {
+    pub(crate) fn postings_by_id(&self, id: TermId) -> PostingList<'_> {
         match &self.store {
             Store::Owned(s) => {
                 let start = s.term_offsets[id as usize] as usize;
@@ -429,15 +407,6 @@ impl InvertedIndex {
             Store::Mapped(_) => {
                 panic!("postings_by_id on a mapped segment; use postings_by_id_in with a scratch")
             }
-        }
-    }
-
-    /// The posting list of `term` (empty if absent). Owned indexes only —
-    /// see [`InvertedIndex::postings_in`].
-    pub fn postings(&self, term: &str) -> PostingList<'_> {
-        match self.dict.lookup(term) {
-            Some(id) => self.postings_by_id(id),
-            None => PostingList::EMPTY,
         }
     }
 
@@ -503,12 +472,8 @@ impl InvertedIndex {
         }
     }
 
-    /// Normalized term frequency of a posting in its state (formula 5.1).
-    pub fn tf(&self, posting: &PostingRef<'_>) -> f64 {
-        self.tf_parts(posting.doc, posting.count)
-    }
-
-    /// The same, from the raw columns (avoids forming a `PostingRef`).
+    /// Normalized term frequency (formula 5.1) of a term occurring `count`
+    /// times in `doc`.
     pub fn tf_parts(&self, doc: DocKey, count: u32) -> f64 {
         let page = &self.pages[doc.page as usize];
         let len = page.state_lengths[doc.state.index()].max(1);
@@ -525,19 +490,6 @@ impl InvertedIndex {
         let page = &self.pages[doc.page as usize];
         let ajax = page.ajaxrank.get(doc.state.index()).copied().unwrap_or(0.0);
         (page.pagerank, ajax)
-    }
-
-    /// Merges `other` into `self`: pages are appended (their indices are
-    /// re-based), posting runs are concatenated. This is the
-    /// incremental-indexing path (the thesis builds its index incrementally
-    /// from application models and merges per-partition results, §6.4).
-    ///
-    /// Because re-based doc keys are strictly greater than everything
-    /// already indexed, concatenation keeps every run sorted — the merge is
-    /// a linear two-way dictionary join, O(postings + terms), no re-sort.
-    pub fn merge(&mut self, other: InvertedIndex) {
-        let merged = InvertedIndex::merge_segments(vec![std::mem::take(self), other]);
-        *self = merged;
     }
 
     /// K-way merge of index segments into one canonical index — panicking
@@ -736,41 +688,6 @@ impl PartialEq for InvertedIndex {
             && self.pages == other.pages
             && self.dict == other.dict
             && *self.owned_store() == *other.owned_store()
-    }
-}
-
-/// The v3 JSON shape (kept for `save_index_v3` and the v3 load path): one
-/// object with the dictionary and each column as a field.
-impl Serialize for InvertedIndex {
-    fn serialize(&self) -> Value {
-        let store = self.owned_store();
-        let mut map = serde::Map::new();
-        map.insert("dict".to_string(), self.dict.serialize());
-        map.insert("term_offsets".to_string(), store.term_offsets.serialize());
-        map.insert("docs".to_string(), store.docs.serialize());
-        map.insert("counts".to_string(), store.counts.serialize());
-        map.insert("pos_offsets".to_string(), store.pos_offsets.serialize());
-        map.insert("positions".to_string(), store.positions.serialize());
-        map.insert("pages".to_string(), self.pages.serialize());
-        map.insert("total_states".to_string(), self.total_states.serialize());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for InvertedIndex {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        Ok(InvertedIndex {
-            dict: serde::__field(value, "dict")?,
-            store: Store::Owned(OwnedStore {
-                term_offsets: serde::__field(value, "term_offsets")?,
-                docs: serde::__field(value, "docs")?,
-                counts: serde::__field(value, "counts")?,
-                pos_offsets: serde::__field(value, "pos_offsets")?,
-                positions: serde::__field(value, "positions")?,
-            }),
-            pages: serde::__field(value, "pages")?,
-            total_states: serde::__field(value, "total_states")?,
-        })
     }
 }
 
@@ -1267,20 +1184,23 @@ mod tests {
             "http://x/watch?v=1",
             &["morcheeba video", "morcheeba singer daisy"],
         )]);
-        let postings = idx.postings("morcheeba");
+        let mut buf = TermScratch::new();
+        let postings = idx.postings_in("morcheeba", &mut buf);
         assert_eq!(postings.len(), 2, "term in both states");
         assert_eq!(postings.doc(0).state, StateId(0));
         assert_eq!(postings.doc(1).state, StateId(1));
-        assert_eq!(idx.postings("singer").len(), 1);
-        assert_eq!(idx.postings("singer").doc(0).state, StateId(1));
+        let singer = idx.postings_in("singer", &mut buf);
+        assert_eq!(singer.len(), 1);
+        assert_eq!(singer.doc(0).state, StateId(1));
     }
 
     #[test]
     fn tf_normalized_by_state_length() {
         let idx = build(&[toy_model("u", &["wow wow wow bad"])]);
-        let posting = idx.postings("wow").get(0);
-        assert_eq!(posting.count, 3);
-        assert!((idx.tf(&posting) - 0.75).abs() < 1e-9);
+        let mut buf = TermScratch::new();
+        let wow = idx.postings_in("wow", &mut buf);
+        assert_eq!(wow.count(0), 3);
+        assert!((idx.tf_parts(wow.doc(0), wow.count(0)) - 0.75).abs() < 1e-9);
     }
 
     #[test]
@@ -1299,26 +1219,27 @@ mod tests {
         b.add_model(&model, None);
         let idx = b.build();
         assert_eq!(idx.total_states, 1);
-        assert!(idx.postings("second").is_empty());
-        assert_eq!(idx.postings("first").len(), 1);
+        assert_eq!(idx.df("second"), 0);
+        assert_eq!(idx.df("first"), 1);
     }
 
     #[test]
     fn positions_recorded_in_order() {
         let idx = build(&[toy_model("u", &["alpha beta alpha"])]);
-        let postings = idx.postings("alpha");
-        assert_eq!(postings.positions(0), &[0, 2]);
+        let mut buf = TermScratch::new();
         let mut seen = Vec::new();
-        postings.for_each_position(0, |p| seen.push(p));
+        idx.postings_in("alpha", &mut buf)
+            .for_each_position(0, |p| seen.push(p));
         assert_eq!(seen, vec![0, 2]);
     }
 
     #[test]
     fn dictionary_ids_are_sorted_ranks() {
         let idx = build(&[toy_model("u", &["zebra alpha kiwi"])]);
+        let mut buf = Vec::new();
         assert_eq!(idx.term_count(), 3);
-        assert_eq!(idx.dict().term(0), "alpha");
-        assert_eq!(idx.dict().term(2), "zebra");
+        assert_eq!(idx.dict().decode_term(0, &mut buf), "alpha");
+        assert_eq!(idx.dict().decode_term(2, &mut buf), "zebra");
         assert_eq!(idx.term_id("kiwi"), Some(1));
         assert_eq!(idx.term_id("absent"), None);
     }
@@ -1349,7 +1270,8 @@ mod tests {
             toy_model("http://x/1", &["shared word"]),
             toy_model("http://x/2", &["shared again", "shared deeper"]),
         ]);
-        let postings = idx.postings("shared");
+        let mut buf = TermScratch::new();
+        let postings = idx.postings_in("shared", &mut buf);
         assert_eq!(postings.len(), 3);
         assert!(postings.docs().windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(idx.url_of(postings.doc(2)), "http://x/2");
@@ -1504,8 +1426,10 @@ mod merge_tests {
         let m2 = model("http://b", &["dance wow"]);
         let m3 = model("http://c", &["silence here"]);
 
-        let mut merged = build(std::slice::from_ref(&m1));
-        merged.merge(build(&[m2.clone(), m3.clone()]));
+        let merged = InvertedIndex::merge_segments(vec![
+            build(std::slice::from_ref(&m1)),
+            build(&[m2.clone(), m3.clone()]),
+        ]);
         let joint = build(&[m1, m2, m3]);
 
         // Canonical layout ⇒ structural equality, not just logical.
@@ -1514,10 +1438,10 @@ mod merge_tests {
 
     #[test]
     fn merge_into_empty() {
-        let mut empty = IndexBuilder::new().build();
+        let empty = IndexBuilder::new().build();
         let other = build(&[model("http://a", &["x y"])]);
-        empty.merge(other.clone());
-        assert_eq!(empty, other);
+        let merged = InvertedIndex::merge_segments(vec![empty, other.clone()]);
+        assert_eq!(merged, other);
     }
 
     #[test]

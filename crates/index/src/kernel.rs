@@ -11,10 +11,10 @@
 //! candidate.
 //!
 //! Determinism: the kernel visits matching documents in ascending `DocKey`
-//! order (the same order the old driver-list merge produced) and callers
-//! accumulate scores in the same term order and with the same arithmetic
-//! expression shapes as the old implementation, so scores are bit-identical
-//! (see `docs/index-internals.md` and `reference.rs`).
+//! order and callers accumulate scores in term order with fixed arithmetic
+//! expression shapes, so scores are bit-identical from run to run. The
+//! brute-force scorer in `tests/spec/mod.rs` states those shapes (see
+//! also `docs/index-internals.md`).
 
 use crate::invert::{DocKey, PostingList, TermScratch};
 use std::cmp::Ordering;
@@ -130,8 +130,7 @@ where
 /// containing the query terms adjacently in order; spread-out occurrences
 /// score lower. Computed as `k / window`, where `window` is the length of
 /// the smallest token window containing all `k` terms (an in-order adjacent
-/// run has window == k ⇒ score 1.0). Identical arithmetic to the
-/// pre-columnar `proximity_score`.
+/// run has window == k ⇒ score 1.0).
 pub(crate) fn proximity_of_rows(
     lists: &[PostingList<'_>],
     rows: &[usize],
@@ -185,8 +184,8 @@ pub(crate) fn proximity_of_rows(
 /// ordered by "ranks last" whose root is the **worst kept entry**, so a
 /// stream of n candidates costs O(n log k) and k entries of memory — large
 /// result sets never fully materialize. The comparator must be a total
-/// order on distinct candidates (rank order: score desc, then URL, then
-/// state — see `query::search_top_k`).
+/// order on distinct candidates (rank order: score desc, then URL, state
+/// and page — see `query::search_top_k`).
 pub(crate) struct TopK {
     buf: Vec<(DocKey, f64)>,
     k: usize,

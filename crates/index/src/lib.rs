@@ -23,11 +23,13 @@
 //!   position stream, all addressable in place behind the durable frame;
 //! * [`shard`] — query shipping over per-partition indexes with the global
 //!   idf computed at merge time from per-shard `(N, df)` counts (§6.5.2);
-//! * [`reference`] — the frozen pre-columnar implementation, kept as the
-//!   equivalence oracle and bench baseline.
+//! * [`persist`] — saving an index as a v4 segment and opening it mapped;
+//!   model files.
 //!
-//! The layout, determinism contract, and on-disk format history are
-//! documented in `docs/index-internals.md`.
+//! What `search`, `search_top_k` and the broker must return is stated by
+//! the brute-force scorer in `tests/spec/mod.rs`. The layout,
+//! determinism contract, and on-disk format history are documented in
+//! `docs/index-internals.md`.
 //!
 //! Result aggregation (state reconstruction) lives in `ajax_crawl::replay`,
 //! since it re-drives the crawler's browser.
@@ -39,7 +41,6 @@ pub mod kernel;
 pub mod persist;
 pub mod probe;
 pub mod query;
-pub mod reference;
 pub mod segment;
 pub mod shard;
 pub mod tokenize;
@@ -48,13 +49,13 @@ pub use aggregate::{locate_terms, ElementHit};
 pub use dict::{TermDict, TermId};
 pub use invert::{
     build_index_parallel, build_index_with_path, planned_build_path, try_build_index_parallel,
-    BuildPath, DocKey, IndexBuildError, IndexBuilder, InvertedIndex, PostingList, PostingRef,
-    TermScratch, PARALLEL_BUILD_MIN_STATES,
+    BuildPath, DocKey, IndexBuildError, IndexBuilder, InvertedIndex, PostingList, TermScratch,
+    PARALLEL_BUILD_MIN_STATES,
 };
 pub use kernel::ScoreScratch;
 pub use persist::{
-    load_index, load_models, save_index, save_index_v3, save_models, PersistError,
-    INDEX_FORMAT_VERSION, INDEX_MAGIC, INDEX_V3_VERSION,
+    load_index, load_models, save_index, save_models, PersistError, INDEX_FORMAT_VERSION,
+    INDEX_MAGIC,
 };
 pub use query::{search, search_top_k, Query, RankWeights, SearchResult};
 pub use shard::{

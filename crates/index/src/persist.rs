@@ -2,8 +2,7 @@
 //! later use" / "Loading an Index"; the crawler likewise serialized
 //! application models per partition, §6.3.2).
 //!
-//! The original used Java serialization; we use JSON via serde — human
-//! inspectable, versionable, and adequate for the corpus sizes at hand.
+//! An index is saved as a binary segment; model files are JSON via serde.
 //!
 //! ## Durability
 //!
@@ -13,55 +12,44 @@
 //! either the complete old file or the complete new file — never a torn
 //! write.
 //!
-//! ## Index format versioning
+//! ## Index format
 //!
-//! * **v1** (unversioned, pre-columnar): a bare object with a `postings`
-//!   term→list map. Rejected with [`PersistError::Format`] naming the
-//!   remedy (rebuild).
-//! * **v2**: the columnar layout of `invert.rs` inside a single-document
-//!   JSON envelope `{"magic","version","index"}`. Still loadable.
-//! * **v3**: the same columnar payload as JSON inside the framed durable
-//!   layout — a header line carrying the magic, version, payload length and
-//!   a CRC32 of the payload, then the payload, then an end-of-file marker.
-//!   Still loadable (and writable via [`save_index_v3`] for comparisons).
-//! * **v4** (current): the compressed binary segment of `segment.rs` inside
-//!   the same durable frame:
+//! An index file is the compressed binary segment of `segment.rs` (format
+//! v4) inside the durable frame:
 //!
-//!   ```text
-//!   {"magic":"ajax-index","version":4,"payload_crc32":C,"payload_len":L}
-//!   AJAXSEG4 ...binary segment...
-//!   #ajax-durable-eof
-//!   ```
+//! ```text
+//! {"magic":"ajax-index","version":4,"payload_crc32":C,"payload_len":L}
+//! AJAXSEG4 ...binary segment...
+//! #ajax-durable-eof
+//! ```
 //!
-//!   The CRC is computed over the raw payload bytes, so frame verification
-//!   is format-agnostic. Loading a v4 file **maps** it ([`ajax_crawl::durable::map_framed`])
-//!   instead of deserializing: the posting columns are addressed in place
-//!   and decoded lazily per query.
+//! The CRC is computed over the raw payload bytes, so frame verification is
+//! format-agnostic. Loading **maps** the file
+//! ([`ajax_crawl::durable::map_framed`]) instead of deserializing: the
+//! posting columns are addressed in place and decoded lazily per query.
 //!
-//!   Truncated, over-long or bit-flipped files fail the length/marker/CRC
-//!   checks and surface as [`PersistError::Corrupt`] naming the file — they
-//!   are never silently loaded as a partial index.
+//! Truncated, over-long or bit-flipped files fail the length/marker/CRC
+//! checks and surface as [`PersistError::Corrupt`] naming the file — they
+//! are never silently loaded as a partial index. Every other file, including
+//! the JSON indexes of formats v1–v3, is a [`PersistError::Format`] that
+//! names the remedy: rebuild with `ajax-search build`.
 //!
 //! Model files use the same frame with magic `ajax-models` (legacy bare
 //! JSON arrays remain loadable).
 
 use crate::invert::InvertedIndex;
 use crate::segment;
-use ajax_crawl::durable::{self, DurableError, FrameRead, MapRead};
+use ajax_crawl::durable::{self, DurableError, FrameRead};
 use ajax_crawl::model::AppModel;
-use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The envelope magic for index files.
 pub const INDEX_MAGIC: &str = "ajax-index";
-/// The current index format version (v4 = compressed mmap-able segment +
-/// durable frame).
+/// The index format version this build reads and writes (v4 = compressed
+/// mmap-able segment + durable frame).
 pub const INDEX_FORMAT_VERSION: u64 = 4;
-/// The previous (JSON columnar) index version, still read and writable via
-/// [`save_index_v3`].
-pub const INDEX_V3_VERSION: u64 = 3;
 /// The envelope magic for model files.
 pub const MODELS_MAGIC: &str = "ajax-models";
 /// The current model file format version.
@@ -76,13 +64,13 @@ pub enum PersistError {
         path: PathBuf,
         source: std::io::Error,
     },
-    /// The file contents (or payload) are not parseable JSON at all.
+    /// Models could not be written as, or parsed from, JSON.
     Serde {
         path: PathBuf,
         source: serde_json::Error,
     },
-    /// The file parsed but is not a current-format artifact (wrong magic,
-    /// old/unknown version, or malformed envelope).
+    /// The file is not a current-format artifact: not framed, wrong magic,
+    /// or an old or unknown version.
     Format { path: PathBuf, detail: String },
     /// The file is a recognized artifact but physically damaged: truncated,
     /// carrying trailing garbage, or failing its checksum.
@@ -144,111 +132,35 @@ pub fn save_index(path: impl AsRef<Path>, index: &InvertedIndex) -> Result<(), P
     Ok(())
 }
 
-/// Saves an inverted file in the previous v3 (framed JSON) format — kept
-/// for cross-version comparisons (the cold-start benchmark) and to exercise
-/// the v3 load path.
-pub fn save_index_v3(path: impl AsRef<Path>, index: &InvertedIndex) -> Result<(), PersistError> {
-    let path = path.as_ref();
-    let payload = serde_json::to_string(&index.serialize()).map_err(|e| serde_err(path, e))?;
-    durable::write_framed(path, INDEX_MAGIC, INDEX_V3_VERSION, payload.as_bytes())?;
-    Ok(())
-}
-
 /// Loads an inverted file from `path`, verifying frame integrity (length,
 /// EOF marker, CRC32) and the format envelope.
 ///
-/// A v4 file is **memory-mapped**: the call validates the segment's
+/// The file is **memory-mapped**: the call validates the segment's
 /// structure (bounds, sentinels, dictionary coding, UTF-8) and returns an
-/// index whose posting columns are decoded lazily from the mapping. v3/v2
-/// files are deserialized into a fully resident index as before.
+/// index whose posting columns are decoded lazily from the mapping. Any file
+/// but a v4 `ajax-index` frame is a [`PersistError::Format`] naming the
+/// remedy.
 pub fn load_index(path: impl AsRef<Path>) -> Result<InvertedIndex, PersistError> {
     let path = path.as_ref();
-    match durable::map_framed(path)? {
-        MapRead::Framed(frame) => {
-            if frame.magic != INDEX_MAGIC {
-                return Err(format_err(
-                    path,
-                    format!("wrong magic {:?} (expected {INDEX_MAGIC:?})", frame.magic),
-                ));
-            }
-            match frame.version {
-                INDEX_FORMAT_VERSION => {
-                    segment::open(Arc::new(frame)).map_err(|detail| PersistError::Corrupt {
-                        path: path.to_path_buf(),
-                        detail: format!("v4 segment: {detail}"),
-                    })
-                }
-                INDEX_V3_VERSION => {
-                    let text = std::str::from_utf8(frame.payload())
-                        .map_err(|e| format_err(path, format!("payload is not UTF-8: {e}")))?;
-                    let value: Value =
-                        serde_json::from_str(text).map_err(|e| serde_err(path, e))?;
-                    InvertedIndex::deserialize(&value)
-                        .map_err(|e| format_err(path, format!("index payload: {e}")))
-                }
-                other => Err(format_err(
-                    path,
-                    format!(
-                        "unsupported index format version {other} (this build reads \
-                         v{INDEX_FORMAT_VERSION} and v{INDEX_V3_VERSION}); rebuild the \
-                         index with `ajax-search build`"
-                    ),
-                )),
-            }
-        }
-        MapRead::NotFramed(bytes) => load_index_legacy(path, bytes),
-    }
-}
-
-/// Loads a pre-frame (v1/v2) index file: a single JSON document, possibly
-/// wrapped in the v2 `{"magic","version","index"}` envelope.
-fn load_index_legacy(path: &Path, bytes: Vec<u8>) -> Result<InvertedIndex, PersistError> {
-    let text = String::from_utf8(bytes)
-        .map_err(|e| format_err(path, format!("file is not UTF-8: {e}")))?;
-    let value: Value = serde_json::from_str(&text).map_err(|e| serde_err(path, e))?;
-    let obj = value.as_object().ok_or_else(|| {
+    let rebuild = |what: String| {
         format_err(
             path,
-            format!("expected an index envelope object, got {}", value.kind()),
+            format!(
+                "{what}; this build reads only {INDEX_MAGIC} v{INDEX_FORMAT_VERSION} — rebuild \
+                 the index with `ajax-search build`"
+            ),
         )
-    })?;
-    match obj.get("magic").and_then(Value::as_str) {
-        Some(INDEX_MAGIC) => {}
-        Some(other) => {
-            return Err(format_err(
-                path,
-                format!("wrong magic {other:?} (expected {INDEX_MAGIC:?})"),
-            ))
-        }
-        None => {
-            // Pre-envelope files (the v1 BTreeMap layout) have no magic at
-            // all — the common stale-file case; name the remedy.
-            return Err(format_err(
-                path,
-                "no format magic: this looks like a v1 (pre-columnar) or foreign \
-                 file; rebuild the index with `ajax-search build`",
-            ));
-        }
+    };
+    let Some(frame) = durable::map_framed(path)? else {
+        return Err(rebuild("not a framed index file".to_string()));
+    };
+    if frame.magic != INDEX_MAGIC || frame.version != INDEX_FORMAT_VERSION {
+        return Err(rebuild(format!("{:?} v{}", frame.magic, frame.version)));
     }
-    match obj.get("version") {
-        // v2 wrote the same columnar payload, just without the durable
-        // frame — keep old indexes loadable across the upgrade.
-        Some(Value::U64(2)) => {}
-        Some(Value::U64(v)) => {
-            return Err(format_err(
-                path,
-                format!(
-                    "unsupported index format version {v} (this build reads \
-                     v{INDEX_FORMAT_VERSION}); rebuild the index with `ajax-search build`"
-                ),
-            ))
-        }
-        _ => return Err(format_err(path, "missing or malformed format version")),
-    }
-    let index = obj
-        .get("index")
-        .ok_or_else(|| format_err(path, "envelope has no index payload"))?;
-    InvertedIndex::deserialize(index).map_err(|e| format_err(path, format!("index payload: {e}")))
+    segment::open(Arc::new(frame)).map_err(|detail| PersistError::Corrupt {
+        path: path.to_path_buf(),
+        detail: format!("v4 segment: {detail}"),
+    })
 }
 
 /// Saves crawled application models to `path` — the per-partition
@@ -391,18 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn v3_file_still_loads() -> Result<(), PersistError> {
-        let index = sample_index();
-        let path = temp_path("v3_index.json");
-        save_index_v3(&path, &index)?;
-        let loaded = load_index(&path)?;
-        std::fs::remove_file(&path).ok();
-        assert!(!loaded.is_mapped(), "v3 loads resident");
-        assert_eq!(index, loaded);
-        Ok(())
-    }
-
-    #[test]
     fn empty_index_roundtrip() -> Result<(), PersistError> {
         // The degenerate case a fresh deployment starts from: zero pages,
         // zero states. Must survive persistence exactly and stay searchable.
@@ -453,66 +353,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn load_garbage_errors() -> Result<(), std::io::Error> {
-        let path = temp_path("garbage.json");
-        std::fs::write(&path, "{not json")?;
-        let err = load_index(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(err, PersistError::Serde { .. }));
-        Ok(())
-    }
-
-    #[test]
-    fn load_v1_file_rejected_with_clear_error() -> Result<(), std::io::Error> {
-        // What the pre-columnar code wrote: a bare index object, no envelope.
-        let path = temp_path("v1_index.json");
-        std::fs::write(
-            &path,
-            r#"{"postings":{"wow":[{"doc":{"page":0,"state":0},"count":1,"positions":[0]}]},"pages":[{"url":"http://x","pagerank":0.5,"ajaxrank":[1.0],"state_lengths":[1]}],"total_states":1}"#,
-        )?;
-        let err = load_index(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        match err {
-            PersistError::Format { detail, .. } => {
-                assert!(detail.contains("rebuild"), "unhelpful message: {detail}");
-            }
-            other => panic!("expected Format error, got {other:?}"),
+    /// Every file but a v4 frame loads as `Format`, naming the file and the
+    /// remedy. `version` is the frame version, or `None` for an unframed file.
+    fn assert_rejected_naming_rebuild(name: &str, version: Option<u64>, content: &str) {
+        let path = temp_path(name);
+        match version {
+            Some(v) => durable::write_framed(&path, INDEX_MAGIC, v, content.as_bytes())
+                .expect("write frame"),
+            None => std::fs::write(&path, content).expect("write file"),
         }
-        Ok(())
-    }
-
-    #[test]
-    fn load_v2_envelope_still_loads() -> Result<(), PersistError> {
-        // What the previous release wrote: a one-document envelope with the
-        // same columnar payload, no frame. Must stay loadable.
-        let index = sample_index();
-        let mut envelope = serde::Map::new();
-        envelope.insert("magic".to_string(), Value::Str(INDEX_MAGIC.to_string()));
-        envelope.insert("version".to_string(), Value::U64(2));
-        envelope.insert("index".to_string(), index.serialize());
-        let json = serde_json::to_string(&Value::Object(envelope)).unwrap();
-        let path = temp_path("v2_index.json");
-        std::fs::write(&path, json).unwrap();
-        let loaded = load_index(&path)?;
-        std::fs::remove_file(&path).ok();
-        assert_eq!(index, loaded);
-        Ok(())
-    }
-
-    #[test]
-    fn load_future_version_rejected() -> Result<(), std::io::Error> {
-        let path = temp_path("v99_index.json");
-        std::fs::write(&path, r#"{"magic":"ajax-index","version":99,"index":{}}"#)?;
         let err = load_index(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
-        match err {
-            PersistError::Format { detail, .. } => {
-                assert!(detail.contains("99"), "message: {detail}")
-            }
-            other => panic!("expected Format error, got {other:?}"),
-        }
-        Ok(())
+        let shown = err.to_string();
+        assert!(
+            matches!(err, PersistError::Format { .. }),
+            "expected Format, got {err:?}"
+        );
+        assert!(shown.contains(name), "{shown}");
+        assert!(shown.contains("rebuild"), "{shown}");
+    }
+
+    #[test]
+    fn load_v1_file_rejected_with_clear_error() {
+        let v1 = r#"{"postings":{"wow":[{"doc":{"page":0,"state":0},"count":1,"positions":[0]}]},"pages":[{"url":"http://x","pagerank":0.5,"ajaxrank":[1.0],"state_lengths":[1]}],"total_states":1}"#;
+        assert_rejected_naming_rebuild("v1_index.json", None, v1);
+    }
+
+    #[test]
+    fn load_v2_envelope_rejected_naming_rebuild() {
+        let v2 = r#"{"magic":"ajax-index","version":2,"index":{}}"#;
+        assert_rejected_naming_rebuild("v2_index.json", None, v2);
+    }
+
+    #[test]
+    fn v3_file_rejected_naming_rebuild() {
+        assert_rejected_naming_rebuild("v3_index.ajx", Some(3), "{}");
+    }
+
+    #[test]
+    fn load_future_version_rejected() {
+        assert_rejected_naming_rebuild("v99_index.ajx", Some(99), "{}");
+    }
+
+    #[test]
+    fn load_garbage_errors() {
+        assert_rejected_naming_rebuild("garbage_index.json", None, "{not json");
     }
 
     #[test]

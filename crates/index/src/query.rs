@@ -82,13 +82,15 @@ fn materialize(index: &InvertedIndex, doc: DocKey, score: f64) -> SearchResult {
 /// [`f64::total_cmp`] — a *total* order, which the top-k heap contract
 /// requires; `partial_cmp(..).unwrap_or(Equal)` made NaN compare equal to
 /// everything, a non-transitive relation that let top-k and full-sort
-/// disagree), then URL (compared in place — no allocation), then state. The
-/// same total order [`sort_results`] applies to materialized results, so
-/// selecting with one and sorting with the other is consistent.
+/// disagree), then URL (compared in place — no allocation), then state, then
+/// page. Two pages of one index may share a URL, so without the page the
+/// order is not total over docs, and the top-k heap kept whichever tie came
+/// last where [`search`] keeps the first.
 fn rank_cmp(index: &InvertedIndex, a: &(DocKey, f64), b: &(DocKey, f64)) -> Ordering {
     b.1.total_cmp(&a.1)
         .then_with(|| index.url_of(a.0).cmp(index.url_of(b.0)))
         .then_with(|| a.0.state.cmp(&b.0.state))
+        .then_with(|| a.0.page.cmp(&b.0.page))
 }
 
 /// Evaluates `query` against `index`: conjunction semantics (every term must
@@ -153,10 +155,10 @@ pub fn search_top_k_with_scratch(
 }
 
 /// The scoring pass shared by the sequential paths: intersects the posting
-/// runs and hands each matching doc's formula-5.3 score to `sink`, with the
-/// exact arithmetic shape of the pre-columnar implementation (term-order
-/// tf·idf sum starting from 0.0; `w1·pr + w2·ar + w3·tfidf + w4·prox`
-/// evaluated left to right) so scores stay bit-identical.
+/// runs and hands each matching doc's formula-5.3 score to `sink`, in doc
+/// order, with one arithmetic shape: the tf·idf sum in term order starting
+/// from 0.0, then `w1·pr + w2·ar + w3·tfidf + w4·prox` left to right.
+/// `tests/broker_spec.rs` holds the score bits to that shape.
 fn score_matches(
     index: &InvertedIndex,
     query: &Query,
@@ -216,19 +218,6 @@ pub fn conjunction_docs(index: &InvertedIndex, terms: &[String]) -> Vec<DocKey> 
     let mut out = Vec::new();
     kernel::for_each_match(&lists, &mut cursors, |doc, _| out.push(doc));
     out
-}
-
-/// Sorts materialized results by descending score with a deterministic
-/// tiebreak (URL, then state) — the same total order the kernel paths use.
-pub fn sort_results(results: &mut [SearchResult]) {
-    results.sort_by(compare_results);
-}
-
-pub(crate) fn compare_results(a: &SearchResult, b: &SearchResult) -> Ordering {
-    b.score
-        .total_cmp(&a.score)
-        .then_with(|| a.url.cmp(&b.url))
-        .then_with(|| a.doc.state.cmp(&b.doc.state))
 }
 
 #[cfg(test)]
@@ -317,10 +306,19 @@ mod tests {
         let idx = index_of(&[("u1", &["a b c", "a c", "b c"]), ("u2", &["c a b a", "b"])]);
         let merged_docs = conjunction_docs(&idx, &["a".into(), "b".into()]);
         // Naive: docs containing a ∩ docs containing b.
-        let a_docs: std::collections::BTreeSet<DocKey> =
-            idx.postings("a").iter().map(|p| p.doc).collect();
-        let b_docs: std::collections::BTreeSet<DocKey> =
-            idx.postings("b").iter().map(|p| p.doc).collect();
+        let mut buf = TermScratch::new();
+        let a_docs: std::collections::BTreeSet<DocKey> = idx
+            .postings_in("a", &mut buf)
+            .docs()
+            .iter()
+            .copied()
+            .collect();
+        let b_docs: std::collections::BTreeSet<DocKey> = idx
+            .postings_in("b", &mut buf)
+            .docs()
+            .iter()
+            .copied()
+            .collect();
         let naive: Vec<DocKey> = a_docs.intersection(&b_docs).copied().collect();
         assert_eq!(merged_docs, naive);
     }

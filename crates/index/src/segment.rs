@@ -50,9 +50,23 @@
 //!   the proximity scan via `PostingList::for_each_position`.
 //!
 //! Corruption safety: the durable frame's CRC32 covers the whole payload and
-//! is verified before [`open`] runs, so query-time decoding trusts the bytes;
-//! [`open`] itself re-checks every section bound and sentinel so a logically
-//! malformed (but well-checksummed) file fails loudly at load, not at query.
+//! is verified before [`open`] runs, so random damage never reaches a
+//! decoder. A file that is well-checksummed but logically malformed is
+//! another matter. [`open`] checks:
+//!
+//! * the header, and that every section lies inside the payload after it;
+//! * the lengths of the fixed-width columns (S0, S1, S2, S5), their
+//!   sentinels, and that each is monotone;
+//! * every dictionary block: the front coding stays in bounds and every
+//!   term is UTF-8;
+//! * the whole page section (S7), which it decodes.
+//!
+//! It trusts the posting records (S4) and the position stream (S6): their
+//! varints, the page and state each record names, and that a run's
+//! `pos_len`s add up to its S5 window. A record naming a page past the end
+//! of S7 opens cleanly and panics at the first query that reaches it.
+//! Walking every run at open would catch it, at several times the open cost
+//! (ROADMAP item 5).
 
 use crate::dict::TermId;
 use crate::invert::{DocKey, IndexBuildError, InvertedIndex, OwnedStore, PageEntry};
@@ -403,8 +417,8 @@ impl MappedPostings {
         &self.pos_stream_bytes()[start..end]
     }
 
-    /// Fully decodes the segment back into owned columns (merge and v3
-    /// re-save paths; queries never need this).
+    /// Fully decodes the segment back into owned columns (merge, re-save
+    /// and equality; queries never need this).
     pub(crate) fn materialize(&self) -> OwnedStore {
         let mut term_offsets = Vec::with_capacity(self.n_terms + 1);
         let to = self.term_offsets_slice();

@@ -1,16 +1,15 @@
-//! Executable specification of the broker's scoring and rank order
-//! (formula 5.3, thesis §6.5).
+//! Executable specification of scoring and rank order (formula 5.3, thesis
+//! §5.3 and §6.5), for one index and for the broker over many, against the
+//! brute-force scorer in `spec/mod.rs`.
 //!
-//! What a merged result list must be is stated here by a brute-force scorer
-//! that knows nothing of posting runs, cursors, hit buffers or shared URLs.
-//! It scans every state of every shard and keeps the ones that hold every
-//! query term. It scores them by formula 5.3 with the §6.5.2 global idf, in
-//! the broker's association: `(w1·PR + w2·AR + w4·prox) + w3·Σ tf·idf`,
-//! summed in term order. It sorts them by the one rank order: score
-//! descending by `total_cmp`, then URL bytes, state, shard and page.
-//! `QueryBroker::search`, `merge_shard_outputs` over `eval_shard`, and
-//! `merge_hits` over `eval_shard_into` batches must each equal it in shard,
-//! page, URL, state, score bits and order.
+//! * **One index**: `search` must equal the scorer's single-index list, and
+//!   `search_top_k(k)` its first `k` results.
+//! * **The broker** (`QueryBroker::search`, `merge_shard_outputs` over
+//!   `eval_shard`, `merge_hits` over `eval_shard_into` batches): each must
+//!   equal the scorer's global-idf list.
+//!
+//! Each must equal the scorer in shard, page, URL, state, score bits and
+//! order.
 //!
 //! Corpora are random, with ties forced: pages are copied within and across
 //! shards (same URL, texts and PageRank), URLs repeat, state texts repeat
@@ -18,15 +17,16 @@
 //!
 //! Case counts are bounded for tier-1; `PROPTEST_CASES` raises them in CI.
 
+mod spec;
+
 use ajax_crawl::model::{AppModel, Transition};
-use ajax_crawl::pagerank::pagerank_default;
 use ajax_dom::EventType;
-use ajax_index::tokenize::{tokenize, TokenAt};
 use ajax_index::{
-    eval_shard, eval_shard_into, merge_hits, merge_shard_outputs, BrokerResult, IndexBuilder,
-    InvertedIndex, Query, QueryBroker, RankWeights, ScoreScratch, ShardHits,
+    eval_shard, eval_shard_into, merge_hits, merge_shard_outputs, search, search_top_k,
+    BrokerResult, InvertedIndex, Query, QueryBroker, RankWeights, ScoreScratch, ShardHits,
 };
 use proptest::prelude::*;
+use spec::{brute_force, brute_force_single, build, hits, single_hits, Corpus, Hit};
 
 fn cases() -> ProptestConfig {
     let cases = std::env::var("PROPTEST_CASES")
@@ -70,15 +70,6 @@ fn odd() -> [f64; 8] {
     let nan = std::hint::black_box(f64::INFINITY) - f64::INFINITY;
     let inf = f64::INFINITY;
     [0.0, -0.0, 1.0, -1.0, 1e-300, nan, inf, -inf]
-}
-
-/// One shard's pages, each with the PageRank it is indexed under.
-type Shard = Vec<(AppModel, f64)>;
-
-struct Corpus {
-    shards: Vec<Shard>,
-    weights: RankWeights,
-    query: Query,
 }
 
 fn text(rng: &mut Rng) -> String {
@@ -159,101 +150,7 @@ fn corpus(seed: u64) -> Corpus {
     }
 }
 
-fn build(shard: &Shard) -> InvertedIndex {
-    let mut b = IndexBuilder::new();
-    for (model, pagerank) in shard {
-        b.add_model(model, Some(*pagerank));
-    }
-    b.build()
-}
-
-// ---- the brute-force scorer -----------------------------------------------
-
-/// One ranked result as a caller sees it: `(shard, page, url, state, score
-/// bits)`.
-type Hit = (usize, u32, String, u32, u64);
-
-/// `T(q, s)` (§5.3.3 item 4): `k / w` capped at 1, where `w` is the fewest
-/// consecutive tokens holding every query term; 1 for a single term.
-fn proximity(tokens: &[TokenAt], terms: &[String]) -> f64 {
-    let k = terms.len();
-    if k <= 1 {
-        return 1.0;
-    }
-    let holds_all = |a: usize, b: usize| {
-        (terms.iter()).all(|t| tokens[a..=b].iter().any(|token| token.term == *t))
-    };
-    let narrowest = (0..tokens.len())
-        .flat_map(|a| (a..tokens.len()).map(move |b| (a, b)))
-        .filter(|&(a, b)| holds_all(a, b))
-        .map(|(a, b)| tokens[b].position - tokens[a].position + 1)
-        .min();
-    narrowest.map_or(0.0, |w| (k as f64 / f64::from(w)).min(1.0))
-}
-
-/// Formula 5.3 over every state of every shard, with the global idf of
-/// §6.5.2, sorted by the full rank order.
-fn brute_force(c: &Corpus) -> Vec<Hit> {
-    let (terms, w) = (&c.query.terms, &c.weights);
-    let (mut total, mut df) = (0u64, vec![0u64; terms.len()]);
-    let mut matched = Vec::new();
-    for (s, pages) in c.shards.iter().enumerate() {
-        for (p, (model, pagerank)) in pages.iter().enumerate() {
-            let ajaxrank = pagerank_default(&model.state_adjacency());
-            for state in &model.states {
-                total += 1;
-                let tokens = tokenize(&state.text);
-                let counts: Vec<u32> = (terms.iter())
-                    .map(|t| tokens.iter().filter(|token| token.term == *t).count() as u32)
-                    .collect();
-                for (df, &n) in df.iter_mut().zip(&counts) {
-                    *df += u64::from(n > 0);
-                }
-                if terms.is_empty() || counts.contains(&0) {
-                    continue;
-                }
-                let len = (tokens.len() as u32).max(1);
-                let tfs: Vec<f64> = (counts.iter())
-                    .map(|&n| f64::from(n) / f64::from(len))
-                    .collect();
-                let base = w.pagerank * pagerank
-                    + w.ajaxrank * ajaxrank[state.id.index()]
-                    + w.proximity * proximity(&tokens, terms);
-                matched.push((s, p as u32, &model.url, state.id.0, base, tfs));
-            }
-        }
-    }
-    let idf: Vec<f64> = (df.iter())
-        .map(|&df| match df == 0 || total == 0 {
-            true => 0.0,
-            false => (total as f64 / df as f64).ln(),
-        })
-        .collect();
-    let mut hits: Vec<(f64, Hit)> = (matched.into_iter())
-        .map(|(s, p, url, state, base, tfs)| {
-            let tfidf: f64 = tfs.iter().zip(&idf).map(|(tf, idf)| tf * idf).sum();
-            let score = base + w.tfidf * tfidf;
-            (score, (s, p, url.clone(), state, score.to_bits()))
-        })
-        .collect();
-    hits.sort_by(|(a_score, a), (b_score, b)| {
-        (b_score.total_cmp(a_score))
-            .then_with(|| a.2.cmp(&b.2))
-            .then_with(|| a.3.cmp(&b.3))
-            .then_with(|| a.0.cmp(&b.0))
-            .then_with(|| a.1.cmp(&b.1))
-    });
-    hits.into_iter().map(|(_, hit)| hit).collect()
-}
-
-fn hits(results: &[BrokerResult]) -> Vec<Hit> {
-    (results.iter())
-        .map(|r| {
-            let url = r.url.to_string();
-            (r.shard, r.doc.page, url, r.doc.state.0, r.score.to_bits())
-        })
-        .collect()
-}
+// ---- the broker paths ----------------------------------------------------
 
 /// The three broker paths over `c`: `QueryBroker::search`,
 /// `merge_shard_outputs` over `eval_shard`, and `merge_hits` over one
@@ -296,22 +193,42 @@ proptest! {
             prop_assert_eq!(hits(&results), want.clone(), "{}", path);
         }
     }
+
+    #[test]
+    fn search_and_top_k_equal_the_brute_force_scorer(seed in any::<u64>()) {
+        let c = corpus(seed);
+        for (s, shard) in c.shards.iter().enumerate() {
+            let index = build(shard);
+            let want = brute_force_single(&c, s);
+            let got = single_hits(&search(&index, &c.query, &c.weights), s);
+            prop_assert_eq!(&got, &want, "search over index {}", s);
+            for k in 0..=want.len() + 1 {
+                let top = search_top_k(&index, &c.query, &c.weights, k);
+                let top = single_hits(&top, s);
+                prop_assert_eq!(
+                    &top[..], &want[..k.min(want.len())],
+                    "search_top_k over index {}, k = {}", s, k
+                );
+            }
+        }
+    }
 }
 
 /// The spec is only as strong as its corpora: over a fixed run of seeds
 /// they must produce what each part of the rank order and the score
 /// decides — long lists (an unstable sort reorders ties only past its
 /// insertion-sort cut-off), exact ties on `(score, URL, state)` between
-/// shards and between pages, NaN and zero scores, and answered conjunctions
-/// of three or more terms.
+/// shards and between pages, the same inside one index (where only the
+/// page tells the top-k heap which tie ranks first), NaN and zero scores,
+/// and answered conjunctions of three or more terms.
 #[test]
 fn corpora_force_ties_long_lists_and_odd_scores() {
-    let (mut long_tied, mut shard_ties, mut page_ties) = (0, 0, 0);
+    let (mut long_tied, mut shard_ties, mut page_ties, mut index_ties) = (0, 0, 0, 0);
     let (mut nan, mut zero, mut three_terms) = (0, 0, 0);
+    let tie = |a: &Hit, b: &Hit| a.2 == b.2 && a.3 == b.3 && a.4 == b.4;
     for seed in 0..400 {
         let c = corpus(seed);
         let want = brute_force(&c);
-        let tie = |a: &Hit, b: &Hit| a.2 == b.2 && a.3 == b.3 && a.4 == b.4;
         let ties: Vec<(&Hit, &Hit)> = (want.windows(2))
             .filter(|w| tie(&w[0], &w[1]))
             .map(|w| (&w[0], &w[1]))
@@ -319,6 +236,10 @@ fn corpora_force_ties_long_lists_and_odd_scores() {
         long_tied += usize::from(want.len() > 24 && !ties.is_empty());
         shard_ties += usize::from(ties.iter().any(|(a, b)| a.0 != b.0));
         page_ties += usize::from(ties.iter().any(|(a, b)| a.0 == b.0 && a.1 != b.1));
+        index_ties += usize::from((0..c.shards.len()).any(|s| {
+            let single = brute_force_single(&c, s);
+            (single.windows(2)).any(|w| tie(&w[0], &w[1]))
+        }));
         nan += usize::from(want.iter().any(|h| f64::from_bits(h.4).is_nan()));
         zero += usize::from(want.iter().any(|h| f64::from_bits(h.4) == 0.0));
         three_terms += usize::from(c.query.terms.len() >= 3 && !want.is_empty());
@@ -327,6 +248,7 @@ fn corpora_force_ties_long_lists_and_odd_scores() {
         ("long lists with ties", long_tied),
         ("ties across shards", shard_ties),
         ("ties across pages of a shard", page_ties),
+        ("pages of one URL tied inside one index", index_ties),
         ("NaN scores", nan),
         ("zero scores", zero),
         ("answered conjunctions of 3+ terms", three_terms),

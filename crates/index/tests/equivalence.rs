@@ -1,20 +1,20 @@
-//! The refactor equivalence suite: the columnar index + allocation-free
-//! kernel must reproduce the pre-columnar implementation (`reference.rs`)
-//! **bit-for-bit** — same result sequences, same floating-point scores —
-//! on every query path: sequential `search`, `search_top_k`, and
-//! `QueryBroker::search` (the ajax-serve worker path runs the same two
-//! halves, asserted again in the workspace integration tests).
-//!
-//! Scores are compared with `f64::to_bits`, not a tolerance: the kernel
-//! keeps the exact summation order of the old code, so anything weaker
-//! would hide a regression of the determinism contract.
+//! Every query path against the brute-force scorer of `spec/mod.rs` on
+//! text-like corpora: up to 19 pages of a few states each, drawn from a
+//! wider vocabulary than `broker_spec.rs` uses, each page indexed under
+//! PageRank `1/n`. Sequential `search`, `search_top_k` and
+//! `QueryBroker::search` must equal the scorer in page, URL, state, score
+//! bits and order (the ajax-serve worker path runs the same two halves,
+//! asserted again in the workspace integration tests).
+
+mod spec;
 
 use ajax_crawl::model::AppModel;
-use ajax_index::invert::{build_index_parallel, IndexBuilder, InvertedIndex};
-use ajax_index::query::{search, search_top_k, Query, RankWeights};
-use ajax_index::reference::{ref_broker_search, ref_search, ref_search_top_k, RefIndexBuilder};
-use ajax_index::shard::QueryBroker;
+use ajax_index::{
+    build_index_parallel, build_index_with_path, search, search_top_k, BuildPath, Query,
+    QueryBroker, RankWeights,
+};
 use proptest::prelude::*;
+use spec::{brute_force, brute_force_single, build, hits, single_hits, Corpus};
 
 /// Deterministic pseudo-random corpus: `n_pages` pages, a few states each,
 /// drawn from a small vocabulary so conjunctions actually match.
@@ -76,38 +76,30 @@ const QUERIES: &[&str] = &[
     "dance video filler",
 ];
 
-fn build_new(models: &[AppModel]) -> InvertedIndex {
-    let mut b = IndexBuilder::new();
-    for m in models {
-        b.add_model(m, Some(1.0 / models.len().max(1) as f64));
+/// `models` in shards of `per_shard` pages under the default weights.
+fn sharded(models: &[AppModel], per_shard: usize, query: &str) -> Corpus {
+    let pagerank = 1.0 / models.len().max(1) as f64;
+    let shards = (models.chunks(per_shard.max(1)))
+        .map(|pages| pages.iter().map(|m| (m.clone(), pagerank)).collect())
+        .collect();
+    Corpus {
+        shards,
+        weights: RankWeights::default(),
+        query: Query::parse(query),
     }
-    b.build()
 }
 
-fn build_ref(models: &[AppModel]) -> ajax_index::reference::RefIndex {
-    let mut b = RefIndexBuilder::new();
-    for m in models {
-        b.add_model(m, Some(1.0 / models.len().max(1) as f64));
-    }
-    b.build()
-}
-
-fn assert_bit_identical(
-    new: &[ajax_index::query::SearchResult],
-    old: &[ajax_index::query::SearchResult],
-    label: &str,
-) {
-    assert_eq!(new.len(), old.len(), "{label}: result count");
-    for (i, (n, o)) in new.iter().zip(old.iter()).enumerate() {
-        assert_eq!(n.url, o.url, "{label}: url at {i}");
-        assert_eq!(n.doc, o.doc, "{label}: doc at {i}");
-        assert_eq!(
-            n.score.to_bits(),
-            o.score.to_bits(),
-            "{label}: score bits at {i}: {} vs {}",
-            n.score,
-            o.score
-        );
+/// Asserts that `search` over one index of `models` equals the scorer, and
+/// `search_top_k` its first `k` results for each of `ks`.
+fn assert_single_index(models: &[AppModel], query: &str, ks: &[usize]) {
+    let c = sharded(models, models.len(), query);
+    let index = build(&c.shards[0]);
+    let want = brute_force_single(&c, 0);
+    let got = single_hits(&search(&index, &c.query, &c.weights), 0);
+    assert_eq!(got, want, "search, query {query:?}");
+    for &k in ks {
+        let top = single_hits(&search_top_k(&index, &c.query, &c.weights, k), 0);
+        assert_eq!(top, want[..k.min(want.len())], "query {query:?}, k {k}");
     }
 }
 
@@ -115,16 +107,8 @@ fn assert_bit_identical(
 fn sequential_search_equals_reference() {
     for seed in [1u64, 7, 42, 1234] {
         let models = corpus(seed, 12);
-        let new = build_new(&models);
-        let old = build_ref(&models);
-        let w = RankWeights::default();
         for q in QUERIES {
-            let query = Query::parse(q);
-            assert_bit_identical(
-                &search(&new, &query, &w),
-                &ref_search(&old, &query, &w),
-                &format!("seed {seed}, query {q:?}"),
-            );
+            assert_single_index(&models, q, &[]);
         }
     }
 }
@@ -133,18 +117,8 @@ fn sequential_search_equals_reference() {
 fn top_k_equals_reference() {
     for seed in [3u64, 99] {
         let models = corpus(seed, 16);
-        let new = build_new(&models);
-        let old = build_ref(&models);
-        let w = RankWeights::default();
         for q in QUERIES {
-            let query = Query::parse(q);
-            for k in [0usize, 1, 3, 10, 500] {
-                assert_bit_identical(
-                    &search_top_k(&new, &query, &w, k),
-                    &ref_search_top_k(&old, &query, &w, k),
-                    &format!("seed {seed}, query {q:?}, k {k}"),
-                );
-            }
+            assert_single_index(&models, q, &[0, 1, 3, 10, 500]);
         }
     }
 }
@@ -154,24 +128,11 @@ fn broker_search_equals_reference() {
     for seed in [5u64, 77] {
         let models = corpus(seed, 13);
         for per_shard in [1usize, 3, 5, 13] {
-            let new_shards: Vec<InvertedIndex> = models.chunks(per_shard).map(build_new).collect();
-            let old_shards: Vec<_> = models.chunks(per_shard).map(build_ref).collect();
-            let broker = QueryBroker::new(new_shards);
             for q in QUERIES {
-                let query = Query::parse(q);
-                let new = broker.search(&query);
-                let old = ref_broker_search(&old_shards, &query, &broker.weights);
-                assert_eq!(new.len(), old.len(), "query {q:?}");
-                for (i, (n, o)) in new.iter().zip(old.iter()).enumerate() {
-                    assert_eq!(n.url, o.url, "query {q:?} at {i}");
-                    assert_eq!(n.doc, o.doc, "query {q:?} at {i}");
-                    assert_eq!(n.shard, o.shard, "query {q:?} at {i}");
-                    assert_eq!(
-                        n.score.to_bits(),
-                        o.score.to_bits(),
-                        "query {q:?} score bits at {i}"
-                    );
-                }
+                let c = sharded(&models, per_shard, q);
+                let broker = QueryBroker::new(c.shards.iter().map(build).collect());
+                let got = hits(&broker.search(&c.query));
+                assert_eq!(got, brute_force(&c), "{per_shard} per shard, query {q:?}");
             }
         }
     }
@@ -182,11 +143,10 @@ fn parallel_build_searches_identically() {
     let models = corpus(11, 17);
     let refs: Vec<(&AppModel, Option<f64>)> =
         models.iter().map(|m| (m, Some(1.0 / 17.0))).collect();
-    let sequential = build_new(&models);
+    let sequential = build(&sharded(&models, 17, "").shards[0]);
     // Force the parallel path (this corpus is under the min-states
     // threshold) so segment-merge equivalence stays pinned end to end.
-    let parallel =
-        ajax_index::build_index_with_path(&refs, None, 4, ajax_index::BuildPath::Parallel);
+    let parallel = build_index_with_path(&refs, None, 4, BuildPath::Parallel);
     assert_eq!(
         sequential, parallel,
         "canonical layout must make builds structurally equal"
@@ -199,10 +159,10 @@ fn parallel_build_searches_identically() {
     let w = RankWeights::default();
     for q in QUERIES {
         let query = Query::parse(q);
-        assert_bit_identical(
-            &search(&sequential, &query, &w),
-            &search(&parallel, &query, &w),
-            &format!("query {q:?}"),
+        assert_eq!(
+            single_hits(&search(&sequential, &query, &w), 0),
+            single_hits(&search(&parallel, &query, &w), 0),
+            "query {q:?}"
         );
     }
 }
@@ -210,10 +170,8 @@ fn parallel_build_searches_identically() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Randomized corpora: the kernel's results (docs, order, scores) equal
-    /// the naive BTreeMap/binary-search semantics of the reference engine.
-    /// The acceptance bar is 1e-12 on scores; the implementation actually
-    /// delivers bit-equality, which is what we assert.
+    /// Randomized corpora: the kernel's results (docs, order, score bits)
+    /// equal the brute-force scorer's, and `search_top_k(k)` its first `k`.
     #[test]
     fn kernel_equals_naive_semantics(
         seed in 0u64..10_000,
@@ -221,24 +179,12 @@ proptest! {
         query_idx in 0usize..QUERIES.len(),
         k in 0usize..25,
     ) {
-        let models = corpus(seed, n_pages);
-        let new = build_new(&models);
-        let old = build_ref(&models);
-        let w = RankWeights::default();
-        let query = Query::parse(QUERIES[query_idx]);
-
-        let full_new = search(&new, &query, &w);
-        let full_old = ref_search(&old, &query, &w);
-        prop_assert_eq!(full_new.len(), full_old.len());
-        for (n, o) in full_new.iter().zip(full_old.iter()) {
-            prop_assert_eq!(&n.url, &o.url);
-            prop_assert_eq!(n.doc, o.doc);
-            prop_assert!((n.score - o.score).abs() < 1e-12, "score {} vs {}", n.score, o.score);
-            prop_assert_eq!(n.score.to_bits(), o.score.to_bits());
-        }
-
-        let top_new = search_top_k(&new, &query, &w, k);
-        let top_old = ref_search_top_k(&old, &query, &w, k);
-        prop_assert_eq!(top_new, top_old);
+        let c = sharded(&corpus(seed, n_pages), n_pages, QUERIES[query_idx]);
+        let index = build(&c.shards[0]);
+        let want = brute_force_single(&c, 0);
+        let full = single_hits(&search(&index, &c.query, &c.weights), 0);
+        prop_assert_eq!(&full, &want);
+        let top = single_hits(&search_top_k(&index, &c.query, &c.weights, k), 0);
+        prop_assert_eq!(&top[..], &want[..k.min(want.len())]);
     }
 }

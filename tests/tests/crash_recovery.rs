@@ -198,6 +198,19 @@ fn fsck_passes_on_journal_and_flags_corruption() {
         .status()
         .expect("run fsck");
     assert!(!status.success(), "fsck must flag a torn index as fatal");
+
+    // An intact index of an older format is fatal too, and names the remedy.
+    let v3 = scratch.path("v3.ajx");
+    ajax_crawl::durable::write_framed(&v3, ajax_index::INDEX_MAGIC, 3, b"{}")
+        .expect("write v3 frame");
+    let out = Command::new(&bin)
+        .arg("fsck")
+        .arg(&v3)
+        .output()
+        .expect("run fsck");
+    let shown = String::from_utf8_lossy(&out.stdout);
+    assert!(!out.status.success(), "fsck must flag a v3 index as fatal");
+    assert!(shown.contains("rebuild"), "fsck output: {shown}");
 }
 
 /// Builds a couple of tiny models for cluster-launch tests.

@@ -7,7 +7,8 @@
 //! change *when and where* shard evaluation runs, never *what* it computes.
 //! The server collects shard replies in shard order before the global-idf
 //! merge, which pins the floating-point summation order to the sequential
-//! one.
+//! one. What the sequential broker must return is stated in turn by the
+//! brute-force scorer of `crates/index/tests/spec/mod.rs`.
 
 use ajax_crawl::model::AppModel;
 use ajax_index::invert::{IndexBuilder, InvertedIndex};
@@ -51,52 +52,6 @@ fn build_shards(per_shard: usize) -> Vec<InvertedIndex> {
             b.build()
         })
         .collect()
-}
-
-/// The concurrent serve path must also be bit-identical to the **frozen
-/// pre-columnar implementation** (`ajax_index::reference`) — the refactor's
-/// before/after contract, asserted end to end rather than transitively
-/// through the sequential broker.
-#[test]
-fn serving_workload_matches_pre_columnar_reference() {
-    use ajax_index::reference::{ref_broker_search, RefIndexBuilder};
-
-    let (models, pagerank) = corpus();
-    let per_shard = 7;
-    let ref_shards: Vec<_> = models
-        .chunks(per_shard)
-        .map(|chunk| {
-            let mut b = RefIndexBuilder::new();
-            for m in chunk {
-                b.add_model(m, pagerank.get(&m.url).copied());
-            }
-            b.build()
-        })
-        .collect();
-    let server = ShardServer::new(
-        QueryBroker::new(build_shards(per_shard)),
-        ServeConfig::default().with_workers_per_shard(2),
-    );
-    let weights = server.weights();
-    for q in query_phrases() {
-        let query = Query::parse(q);
-        let expected = ref_broker_search(&ref_shards, &query, &weights);
-        let got = server.search_query(&query).expect("admitted");
-        assert!(!got.degraded);
-        assert_eq!(expected.len(), got.results.len(), "count for {q:?}");
-        for (rank, (e, g)) in expected.iter().zip(got.results.iter()).enumerate() {
-            assert_eq!(e.url, g.url, "url at rank {rank} for {q:?}");
-            assert_eq!(e.doc, g.doc, "doc at rank {rank} for {q:?}");
-            assert_eq!(e.shard, g.shard, "shard at rank {rank} for {q:?}");
-            assert_eq!(
-                e.score.to_bits(),
-                g.score.to_bits(),
-                "score bits at rank {rank} for {q:?}: {} vs {}",
-                e.score,
-                g.score
-            );
-        }
-    }
 }
 
 proptest! {
