@@ -11,7 +11,7 @@ use ajax_crawl::crawler::CrawlConfig;
 use ajax_crawl::model::AppModel;
 use ajax_crawl::parallel::MpCrawler;
 use ajax_crawl::partition::partition_urls;
-use ajax_index::invert::{build_index_parallel, planned_build_path, IndexBuilder, InvertedIndex};
+use ajax_index::invert::{build_index, InvertedIndex};
 use ajax_index::query::{search, Query, RankWeights};
 use ajax_index::{load_index, save_index};
 use ajax_net::Server;
@@ -63,13 +63,6 @@ pub struct SitePerf {
     /// Sequential single-threaded build, best of [`BUILD_REPS`].
     pub build_ms: f64,
     pub build_states_per_sec: f64,
-    /// Same corpus through `build_index_parallel` with 4 segment builders.
-    pub parallel_build_ms: f64,
-    /// Which path `build_index_parallel` actually took ("serial" when the
-    /// corpus is under the min-states threshold, "parallel" otherwise) —
-    /// small corpora fall back, so `parallel_build_ms` may be timing the
-    /// serial builder.
-    pub build_path: String,
     /// Pooled per-query wall latency over the 100-query workload.
     pub query_p50_micros: f64,
     pub query_p95_micros: f64,
@@ -87,14 +80,6 @@ fn crawl(server: Arc<dyn Server>, urls: &[String]) -> Vec<AppModel> {
     let partitions = partition_urls(urls, 50);
     let mp = MpCrawler::new(server, latency(), CrawlConfig::ajax());
     mp.crawl(&partitions).into_models()
-}
-
-fn build_once(models: &[AppModel]) -> InvertedIndex {
-    let mut b = IndexBuilder::new();
-    for m in models {
-        b.add_model(m, None);
-    }
-    b.build()
 }
 
 /// `q`-quantile of pooled samples (nearest-rank on the sorted pool).
@@ -162,32 +147,15 @@ fn measure_cold_start(
 
 fn measure_site(site: &str, models: &[AppModel], queries: &[Query]) -> SitePerf {
     // Build throughput: fastest of BUILD_REPS sequential builds.
+    let refs: Vec<(&AppModel, Option<f64>)> = models.iter().map(|m| (m, None)).collect();
     let mut build_s = f64::INFINITY;
     for _ in 0..BUILD_REPS {
         let t0 = Instant::now();
-        let index = build_once(models);
+        let index = build_index(&refs, None);
         build_s = build_s.min(t0.elapsed().as_secs_f64());
         std::hint::black_box(index.total_states);
     }
-    let index = build_once(models);
-
-    let mut parallel_s = f64::INFINITY;
-    let refs: Vec<(&AppModel, Option<f64>)> = models.iter().map(|m| (m, None)).collect();
-    for _ in 0..BUILD_REPS {
-        let t0 = Instant::now();
-        let par = build_index_parallel(&refs, None, 4);
-        parallel_s = parallel_s.min(t0.elapsed().as_secs_f64());
-        // Canonical layout + content-derived sizing: both build paths must
-        // report the same resident footprint (this regressed once, when
-        // `approx_bytes` summed `Vec::capacity` and the answer depended on
-        // each path's reallocation history).
-        assert_eq!(
-            par.approx_bytes(),
-            index.approx_bytes(),
-            "serial and parallel builds must report identical approx_bytes ({site})"
-        );
-        std::hint::black_box(par.total_states);
-    }
+    let index = build_index(&refs, None);
 
     // Query latency: pooled per-query samples across QUERY_REPS passes.
     let weights = RankWeights::default();
@@ -220,8 +188,6 @@ fn measure_site(site: &str, models: &[AppModel], queries: &[Query]) -> SitePerf 
         cold_start_v4_micros: cold_v4,
         build_ms: build_s * 1e3,
         build_states_per_sec: states as f64 / build_s.max(1e-12),
-        parallel_build_ms: parallel_s * 1e3,
-        build_path: planned_build_path(&refs, None, 4).as_str().to_string(),
         query_p50_micros: percentile(&mut samples, 0.50),
         query_p95_micros: percentile(&mut samples, 0.95),
         total_results,
@@ -299,8 +265,6 @@ impl IndexPerfData {
             "cold v4 µs",
             "build ms",
             "states/s",
-            "par ms",
-            "path",
             "q p50 µs",
             "q p95 µs",
             "results",
@@ -318,8 +282,6 @@ impl IndexPerfData {
                 format!("{:.0}", s.cold_start_v4_micros),
                 format!("{:.2}", s.build_ms),
                 format!("{:.0}", s.build_states_per_sec),
-                format!("{:.2}", s.parallel_build_ms),
-                s.build_path.clone(),
                 format!("{:.1}", s.query_p50_micros),
                 format!("{:.1}", s.query_p95_micros),
                 s.total_results.to_string(),
@@ -366,8 +328,6 @@ mod tests {
             assert!(s.bytes_per_state > 0.0);
             assert!(s.build_states_per_sec > 0.0);
             assert!(s.query_p95_micros >= s.query_p50_micros);
-            // 6 pages is far below the min-states threshold.
-            assert_eq!(s.build_path, "serial");
             // On-disk + cold-start columns: the v4 segment must exist and
             // open in measurable time.
             assert!(s.v4_disk_bytes > 0);

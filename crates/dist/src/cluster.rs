@@ -19,7 +19,7 @@ use crate::error::DistError;
 use crate::shard::ShardHandle;
 use crate::transport::{ShardEndpoint, TcpTransport, TcpTransportConfig};
 use ajax_crawl::model::AppModel;
-use ajax_index::{build_index_parallel, persist, InvertedIndex, RankWeights};
+use ajax_index::{build_index, persist, InvertedIndex, RankWeights};
 use ajax_net::{FaultProxy, ProxyConfig};
 use ajax_obs::SpanLog;
 use ajax_serve::{ServeConfig, ShardServer};
@@ -45,7 +45,7 @@ pub fn partition_models(
         .map(|slice| {
             let refs: Vec<(&AppModel, Option<f64>)> =
                 slice.iter().map(|m| (m, pagerank(&m.url))).collect();
-            build_index_parallel(&refs, max_states, 4)
+            build_index(&refs, max_states)
         })
         .collect();
     while partitions.len() < shards {

@@ -33,7 +33,7 @@
 use ajax_crawl::crawler::RetryPolicy;
 use ajax_dist::{partition_models, ClusterConfig, DistCluster};
 use ajax_engine::{analyze_site, AjaxSearchEngine, BuildReport, EngineConfig};
-use ajax_index::invert::IndexBuilder;
+use ajax_index::invert::InvertedIndex;
 use ajax_index::persist::{load_index, save_index};
 use ajax_index::query::{search, Query, RankWeights};
 use ajax_index::BrokerResult;
@@ -44,19 +44,27 @@ use ajax_webgen::{
     query_workload, GalleryServer, GallerySpec, NewsShareServer, NewsSpec, VidShareServer,
     VidShareSpec,
 };
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// What a command returns. Only a write to stdout returns a bare
+/// `io::Error` here; every other failure is a message. A write that fails
+/// with `BrokenPipe` (`ajax-search query … | head -1`) ends the command,
+/// and `main` reports success: nobody is left to read the rest.
+type CmdResult = Result<(), Box<dyn std::error::Error>>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
     let result = match args.first().map(String::as_str) {
         Some("build") => cmd_build(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        Some("demo") => cmd_demo(),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("shard") => cmd_shard(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("fsck") => cmd_fsck(&args[1..]),
+        Some("query") => cmd_query(&args[1..], &mut out),
+        Some("demo") => cmd_demo(&mut out),
+        Some("serve") => cmd_serve(&args[1..], &mut out),
+        Some("shard") => cmd_shard(&args[1..], &mut out),
+        Some("analyze") => cmd_analyze(&args[1..], &mut out),
+        Some("fsck") => cmd_fsck(&args[1..], &mut out),
         _ => {
             eprintln!(
                 "usage: ajax-search build --videos N [--site vidshare|news|gallery] [--traditional]\n\
@@ -82,8 +90,14 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -170,11 +184,10 @@ fn write_report_json(args: &[String], report: &BuildReport) -> Result<(), String
 fn write_trace(
     trace_out: Option<&str>,
     profile: bool,
-    engine: &AjaxSearchEngine,
+    spans: &[ajax_obs::SpanEvent],
 ) -> Result<(), String> {
     if let Some(path) = trace_out {
-        let tracks: std::collections::BTreeSet<u32> =
-            engine.spans.iter().map(|s| s.track).collect();
+        let tracks: std::collections::BTreeSet<u32> = spans.iter().map(|s| s.track).collect();
         let names: Vec<(u32, String)> = tracks
             .into_iter()
             .map(|t| {
@@ -187,20 +200,20 @@ fn write_trace(
             })
             .collect();
         let named: Vec<(u32, &str)> = names.iter().map(|(t, n)| (*t, n.as_str())).collect();
-        let json = chrome_trace_json_named(&engine.spans, &named);
+        let json = chrome_trace_json_named(spans, &named);
         std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
         eprintln!(
             "wrote {} spans to {path} (open in chrome://tracing or Perfetto)",
-            engine.spans.len()
+            spans.len()
         );
     }
     if profile {
-        eprintln!("{}", ProfileRollup::from_events(&engine.spans).render());
+        eprintln!("{}", ProfileRollup::from_events(spans).render());
     }
     Ok(())
 }
 
-fn cmd_build(args: &[String]) -> Result<(), String> {
+fn cmd_build(args: &[String]) -> CmdResult {
     let videos: u32 = flag_value(args, "--videos")
         .unwrap_or("100")
         .parse()
@@ -235,9 +248,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             (Arc::new(GalleryServer::new(spec)), start, "/album")
         }
         other => {
-            return Err(format!(
-                "--site must be vidshare, news or gallery, got {other:?}"
-            ))
+            return Err(format!("--site must be vidshare, news or gallery, got {other:?}").into())
         }
     };
     let mut config = if traditional {
@@ -246,7 +257,6 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         EngineConfig::ajax(videos as usize)
     };
     config.max_index_states = max_states;
-    config.keep_models = true;
     config.path_filter = Some(path_filter.to_string());
     config.trace = trace_out.is_some() || profile;
     apply_resilience_flags(args, &mut config)?;
@@ -255,7 +265,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             .with_checkpoint_dir(dir)
             .with_resume(has_flag(args, "--resume"));
     } else if has_flag(args, "--resume") {
-        return Err("--resume requires --checkpoint-dir DIR".to_string());
+        return Err("--resume requires --checkpoint-dir DIR".into());
     }
     if let Some(n) = flag_value(args, "--checkpoint-every") {
         let n: usize = n
@@ -319,7 +329,8 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             "--verify-prune found {} soundness mismatches: statically-pruned \
              events changed application state",
             r.crawl.prune_mismatches
-        ));
+        )
+        .into());
     }
     if r.crawl.equiv_pruned_events > 0 || r.crawl.commute_pruned_events > 0 {
         eprintln!(
@@ -339,7 +350,8 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             "--verify-equiv found {} mismatches: events claimed barren by \
              equivalence/commutativity actually changed application state",
             r.crawl.equiv_mismatches
-        ));
+        )
+        .into());
     }
     if r.checkpoint.writes > 0 || r.checkpoint.resumed {
         eprintln!(
@@ -359,16 +371,9 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     print_resilience(r);
     write_report_json(args, r)?;
 
-    // Persist as a single merged index (simplest portable artifact).
-    let mut builder = IndexBuilder::new();
-    if let Some(max) = max_states {
-        builder = builder.with_max_states(max);
-    }
-    for model in &engine.models {
-        let pagerank = engine.graph.pagerank.get(&model.url).copied();
-        builder.add_model(model, pagerank);
-    }
-    let index = builder.build();
+    // Persist the engine's own partitions, merged in order, as one file.
+    let (partitions, _) = engine.broker.into_parts();
+    let index = InvertedIndex::try_merge_segments(partitions).map_err(|e| e.to_string())?;
     let t_save = std::time::Instant::now();
     save_index(out, &index).map_err(|e| e.to_string())?;
     let save_wall = t_save.elapsed();
@@ -398,7 +403,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             ],
         });
     }
-    write_trace(trace_out, profile, &engine)?;
+    write_trace(trace_out, profile, &engine.spans)?;
     let on_disk = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     eprintln!(
         "saved {} terms / {} states ({:.1} KiB resident, {:.1} KiB on disk as a v4 segment) \
@@ -412,36 +417,46 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
+fn cmd_query(args: &[String], out: &mut impl Write) -> CmdResult {
     let path = flag_value(args, "--index").ok_or("--index FILE is required")?;
-    let text = args
-        .iter()
-        .skip_while(|a| *a != "--index")
-        .nth(2)
-        .or_else(|| args.last().filter(|a| !a.starts_with("--")))
-        .ok_or("missing query text")?;
+    // The query text is every argument but `--index FILE`, in order.
+    let mut words = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if arg == "--index" {
+            rest.next();
+        } else {
+            words.push(arg.as_str());
+        }
+    }
+    let text = words.join(" ");
+    if text.trim().is_empty() {
+        return Err("missing query text".into());
+    }
 
     let index = load_index(path).map_err(|e| e.to_string())?;
-    let query = Query::parse(text);
+    let query = Query::parse(&text);
     let t0 = std::time::Instant::now();
     let results = search(&index, &query, &RankWeights::default());
     let elapsed = t0.elapsed();
 
     // Query evaluation happens on the host, so this is *wall* time — unlike
     // the build phase's virtual_ms, which comes from the simulated clock.
-    println!(
+    writeln!(
+        out,
         "{} results for {text:?} in wall_ms {:.3}",
         results.len(),
         elapsed.as_secs_f64() * 1e3
-    );
+    )?;
     for (rank, r) in results.iter().take(10).enumerate() {
-        println!(
+        writeln!(
+            out,
             "{:>3}. {:.4}  {}  state {}",
             rank + 1,
             r.score,
             r.url,
             r.doc.state
-        );
+        )?;
     }
     Ok(())
 }
@@ -449,7 +464,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 /// Builds an in-memory index and serves queries through `ajax-serve`:
 /// one line per query from `--workload FILE` or stdin, top-3 results each,
 /// and a JSON metrics snapshot once the input is exhausted.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String], out: &mut impl Write) -> CmdResult {
     use std::io::BufRead;
 
     let videos: u32 = flag_value(args, "--videos")
@@ -482,7 +497,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         })
         .transpose()?;
     if distributed == Some(0) {
-        return Err("--distributed needs at least 1 shard".to_string());
+        return Err("--distributed needs at least 1 shard".into());
     }
 
     let spec = VidShareSpec::small(videos);
@@ -501,7 +516,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .with_deadline_micros(deadline_ms.map(|ms| ms * 1_000));
 
     if let Some(shards) = distributed {
-        return serve_distributed(args, engine, shards, serve_config);
+        return serve_distributed(args, engine, shards, serve_config, out);
     }
 
     eprintln!(
@@ -522,10 +537,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         if text.is_empty() {
             continue;
         }
-        print_response(&server, text, None)?;
+        print_response(&server, text, None, out)?;
     }
 
-    println!("{}", server.metrics_json());
+    writeln!(out, "{}", server.metrics_json())?;
     Ok(())
 }
 
@@ -536,7 +551,8 @@ fn print_response(
     server: &ajax_serve::ShardServer,
     text: &str,
     single: Option<&AjaxSearchEngine>,
-) -> Result<(), String> {
+    out: &mut impl Write,
+) -> CmdResult {
     match server.search(text) {
         Ok(resp) => {
             let tag = if resp.from_cache {
@@ -546,19 +562,21 @@ fn print_response(
             } else {
                 ""
             };
-            println!(
+            writeln!(
+                out,
                 "{} results for {text:?} in {:.3} ms{tag}",
                 resp.results.len(),
                 resp.latency_micros as f64 / 1e3
-            );
+            )?;
             for (rank, r) in resp.results.iter().take(3).enumerate() {
-                println!(
+                writeln!(
+                    out,
                     "{:>3}. {:.4}  {}  state {}",
                     rank + 1,
                     r.score,
                     r.url,
                     r.doc.state
-                );
+                )?;
             }
             if let Some(engine) = single {
                 let reference = engine.search(text);
@@ -566,11 +584,12 @@ fn print_response(
                     return Err(format!(
                         "--verify-single: {text:?} diverges from single-process \
                          evaluation: {diff}"
-                    ));
+                    )
+                    .into());
                 }
             }
         }
-        Err(e) => println!("shed {text:?}: {e}"),
+        Err(e) => writeln!(out, "shed {text:?}: {e}")?,
     }
     Ok(())
 }
@@ -611,7 +630,8 @@ fn serve_distributed(
     engine: AjaxSearchEngine,
     shards: usize,
     serve_config: ServeConfig,
-) -> Result<(), String> {
+    out: &mut impl Write,
+) -> CmdResult {
     use std::io::BufRead;
 
     let base_port: Option<u16> = flag_value(args, "--port")
@@ -664,7 +684,7 @@ fn serve_distributed(
         // The thesis' Table 7.4 workload: 100 queries over the synthetic
         // sites' phrase pool.
         for spec in query_workload() {
-            print_response(&cluster.server, &spec.text, single)?;
+            print_response(&cluster.server, &spec.text, single, out)?;
             queries += 1;
         }
     } else {
@@ -680,12 +700,12 @@ fn serve_distributed(
             if text.is_empty() {
                 continue;
             }
-            print_response(&cluster.server, text, single)?;
+            print_response(&cluster.server, text, single, out)?;
             queries += 1;
         }
     }
 
-    println!("{}", cluster.server.metrics_json());
+    writeln!(out, "{}", cluster.server.metrics_json())?;
     if verify_single {
         eprintln!("verified {queries} responses bit-identical to single-process serve");
     }
@@ -696,9 +716,7 @@ fn serve_distributed(
 /// Process-mode shard server: load one index partition and answer queries
 /// over the wire until killed. Prints `LISTENING <addr>` on stdout once
 /// bound — the coordinator parses this to learn ephemeral ports.
-fn cmd_shard(args: &[String]) -> Result<(), String> {
-    use std::io::Write;
-
+fn cmd_shard(args: &[String], out: &mut impl Write) -> CmdResult {
     let path = flag_value(args, "--index").ok_or("--index FILE is required")?;
     let shard_id: usize = flag_value(args, "--shard-id")
         .unwrap_or("0")
@@ -714,10 +732,8 @@ fn cmd_shard(args: &[String]) -> Result<(), String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("shard listener address: {e}"))?;
-    println!("LISTENING {addr}");
-    std::io::stdout()
-        .flush()
-        .map_err(|e| format!("flush banner: {e}"))?;
+    writeln!(out, "LISTENING {addr}")?;
+    out.flush().map_err(|e| format!("flush banner: {e}"))?;
     eprintln!(
         "shard {shard_id}: {} states / {} terms on {addr}",
         index.total_states,
@@ -730,7 +746,7 @@ fn cmd_shard(args: &[String]) -> Result<(), String> {
 /// Static analysis without a crawl: fetch every page's initial document,
 /// run the effect/diagnostics pass, and print the findings. Exits nonzero
 /// when any error-severity diagnostic fires (the CI analyze-smoke gate).
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
+fn cmd_analyze(args: &[String], out: &mut impl Write) -> CmdResult {
     let videos: u32 = flag_value(args, "--videos")
         .unwrap_or("20")
         .parse()
@@ -756,26 +772,30 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             (Arc::new(GalleryServer::new(spec)), urls)
         }
         other => {
-            return Err(format!(
-                "--site must be vidshare, news or gallery, got {other:?}"
-            ))
+            return Err(format!("--site must be vidshare, news or gallery, got {other:?}").into())
         }
     };
 
     let analysis = analyze_site(server.as_ref(), &urls);
     if json {
-        println!(
+        writeln!(
+            out,
             "{}",
             serde_json::to_string_pretty(&analysis).map_err(|e| e.to_string())?
-        );
+        )?;
     } else {
         for page in &analysis.pages {
-            println!(
+            writeln!(
+                out,
                 "{}: {} functions, {} bindings ({} prunable), {} script errors",
                 page.url, page.functions, page.bindings, page.pure_bindings, page.script_errors
-            );
+            )?;
             for d in &page.diagnostics {
-                println!("  {}[{}] {}: {}", d.severity, d.code, d.subject, d.message);
+                writeln!(
+                    out,
+                    "  {}[{}] {}: {}",
+                    d.severity, d.code, d.subject, d.message
+                )?;
             }
             if effects {
                 for b in &page.binding_reports {
@@ -783,7 +803,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
                         .class
                         .map(|c| format!("class {c}"))
                         .unwrap_or_else(|| "unparsed".to_string());
-                    println!(
+                    writeln!(
+                        out,
                         "  effects {:?} [{class}]: writes {{{}}} reads {{{}}} xhr {{{}}} \
                          globals r{{{}}} w{{{}}}",
                         b.code,
@@ -792,35 +813,38 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
                         b.xhr_urls.join(", "),
                         b.globals_read.join(", "),
                         b.globals_written.join(", "),
-                    );
+                    )?;
                 }
                 for c in &page.equiv_classes {
-                    println!(
+                    writeln!(
+                        out,
                         "  class {}: {} members, signature {}",
                         c.id,
                         c.members.len(),
                         c.signature
-                    );
+                    )?;
                 }
-                println!("  commutativity ('+' = provably order-independent):");
+                writeln!(out, "  commutativity ('+' = provably order-independent):")?;
                 for (code, row) in page.commute.codes.iter().zip(&page.commute.rows) {
-                    println!("    {row}  {code:?}");
+                    writeln!(out, "    {row}  {code:?}")?;
                 }
             }
         }
-        println!(
+        writeln!(
+            out,
             "{} pages: {} errors, {} warnings, {} infos",
             analysis.pages.len(),
             analysis.errors,
             analysis.warnings,
             analysis.infos
-        );
+        )?;
     }
     if analysis.has_errors() {
         return Err(format!(
             "static analysis found {} error-severity diagnostics",
             analysis.errors
-        ));
+        )
+        .into());
     }
     Ok(())
 }
@@ -832,7 +856,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// superseded by a valid older snapshot), or fatal damage, which includes
 /// an index of any format but v4.
 /// Exits nonzero only on fatal damage.
-fn cmd_fsck(args: &[String]) -> Result<(), String> {
+fn cmd_fsck(args: &[String], out: &mut impl Write) -> CmdResult {
     use ajax_crawl::durable::{self, Inspection};
     use std::path::{Path, PathBuf};
 
@@ -852,7 +876,7 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
     } else if target.is_file() {
         vec![target.to_path_buf()]
     } else {
-        return Err(format!("{}: no such file or directory", target.display()));
+        return Err(format!("{}: no such file or directory", target.display()).into());
     };
 
     let is_checkpoint = |p: &Path| {
@@ -873,7 +897,10 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
     for path in &files {
         let name = path.display();
         if path.extension().is_some_and(|e| e == "tmp") {
-            println!("REPAIRABLE {name}: stale temp file from an interrupted commit — delete it");
+            writeln!(
+                out,
+                "REPAIRABLE {name}: stale temp file from an interrupted commit — delete it"
+            )?;
             repairable += 1;
             continue;
         }
@@ -887,71 +914,78 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
                 // version: this build reads the v4 segment and nothing else.
                 if magic == ajax_index::INDEX_MAGIC {
                     if version == ajax_index::INDEX_FORMAT_VERSION {
-                        println!(
+                        writeln!(
+                            out,
                             "OK         {name}: {magic} v{version} (mmap-able segment), \
                              {payload_len} payload bytes, checksum verified"
-                        );
+                        )?;
                         ok += 1;
                     } else {
-                        println!(
+                        writeln!(
+                            out,
                             "FATAL      {name}: {magic} v{version} is not readable by this \
                              build (reads v{}) — rebuild with `ajax-search build`",
                             ajax_index::INDEX_FORMAT_VERSION
-                        );
+                        )?;
                         fatal += 1;
                     }
                 } else {
-                    println!("OK         {name}: {magic} v{version}, {payload_len} payload bytes, checksum verified");
+                    writeln!(out, "OK         {name}: {magic} v{version}, {payload_len} payload bytes, checksum verified")?;
                     ok += 1;
                 }
             }
             Ok(Inspection::Legacy { bytes }) => {
-                println!(
+                writeln!(
+                    out,
                     "LEGACY     {name}: unframed ({bytes} bytes), no checksum — a bare model \
                      array still loads, an index must be rebuilt with `ajax-search build`"
-                );
+                )?;
                 legacy += 1;
             }
             Err(e) => {
                 if is_checkpoint(path) && valid_checkpoints > 0 {
-                    println!(
+                    writeln!(
+                        out,
                         "REPAIRABLE {name}: {e} — an intact snapshot exists, resume will \
                          fall back to it"
-                    );
+                    )?;
                     repairable += 1;
                 } else {
-                    println!("FATAL      {name}: {e}");
+                    writeln!(out, "FATAL      {name}: {e}")?;
                     fatal += 1;
                 }
             }
         }
     }
-    println!(
+    writeln!(
+        out,
         "{} files: {ok} ok, {legacy} legacy, {repairable} repairable, {fatal} fatal",
         files.len()
-    );
+    )?;
     if fatal > 0 {
         return Err(format!(
             "{fatal} file(s) fatally damaged — rebuild them with `ajax-search build`"
-        ));
+        )
+        .into());
     }
     Ok(())
 }
 
-fn cmd_demo() -> Result<(), String> {
+fn cmd_demo(out: &mut impl Write) -> CmdResult {
     let spec = VidShareSpec::small(60);
     let start = Url::parse(&spec.watch_url(0));
     let server = Arc::new(VidShareServer::new(spec));
     let engine = AjaxSearchEngine::build(server, &start, EngineConfig::ajax(60));
-    println!(
+    writeln!(
+        out,
         "demo index: {} pages, {} states, {} shards",
         engine.report.pages_crawled, engine.report.total_states, engine.report.shards
-    );
+    )?;
     for q in ["wow", "our song", "morcheeba mysterious video"] {
         let results = engine.search(q);
-        println!("\n{q:?} → {} results", results.len());
+        writeln!(out, "\n{q:?} → {} results", results.len())?;
         for r in results.iter().take(3) {
-            println!("   {:.4}  {}  state {}", r.score, r.url, r.doc.state);
+            writeln!(out, "   {:.4}  {}  state {}", r.score, r.url, r.doc.state)?;
         }
     }
     Ok(())

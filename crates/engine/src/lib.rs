@@ -30,7 +30,7 @@ use ajax_crawl::partition::partition_urls;
 use ajax_crawl::precrawl::{LinkGraph, Precrawler};
 use ajax_crawl::replay::{reconstruct_state, ReplayError};
 use ajax_dom::Document;
-use ajax_index::invert::build_index_parallel;
+use ajax_index::invert::build_index;
 use ajax_index::query::{Query, RankWeights};
 use ajax_index::shard::{BrokerResult, QueryBroker};
 use ajax_net::{FaultPlan, LatencyModel, Server, Url};
@@ -54,7 +54,8 @@ pub struct EngineConfig {
     pub partition_size: usize,
     /// `MP_CRAWLER_NUM_OF_PROC_LINES`.
     pub proc_lines: usize,
-    /// CPU cores of the virtual machine model.
+    /// CPU cores of the virtual machine model the crawl is timed on.
+    /// Indexing ignores it: each partition is one serial inversion.
     pub cores: usize,
     /// Index at most this many states per page (`None` = all crawled).
     pub max_index_states: Option<usize>,
@@ -286,12 +287,10 @@ impl AjaxSearchEngine {
             spans.push(span);
         }
 
-        // Phase 4: one index per partition, each built as per-core sorted
-        // segments merged into the canonical columnar layout (the merge is
-        // order-insensitive, so parallelism cannot perturb the result).
-        // Indexing has no virtual cost model of its own, so its spans are
-        // *modeled*: sequential after the crawl makespan, charged per
-        // indexed state.
+        // Phase 4: one index per partition, each one serial inversion of
+        // the partition's models. Indexing has no virtual cost model of its
+        // own, so its spans are *modeled*: sequential after the crawl
+        // makespan, charged per indexed state.
         const INDEX_STATE_MICROS: ajax_net::Micros = 50;
         let mut index_cursor = graph.precrawl_micros + crawl_report.virtual_makespan;
         let mut shards = Vec::with_capacity(crawl_report.partitions.len());
@@ -302,8 +301,7 @@ impl AjaxSearchEngine {
                 .iter()
                 .map(|model| (model, graph.pagerank.get(&model.url).copied()))
                 .collect();
-            let shard =
-                build_index_parallel(&model_refs, config.max_index_states, config.cores.max(1));
+            let shard = build_index(&model_refs, config.max_index_states);
             if config.trace {
                 let cost = shard.total_states * INDEX_STATE_MICROS;
                 spans.push(SpanEvent {
@@ -681,5 +679,46 @@ mod tests {
         );
         assert!(capped.broker.total_states() < full.broker.total_states());
         assert!(capped.search("wow").len() <= full.search("wow").len());
+    }
+
+    /// `ajax-search build` saves the engine's partitions merged in order;
+    /// that must be the index one builder pass over the kept models gives,
+    /// so a build inverts each state once.
+    #[test]
+    fn merged_partitions_equal_one_inversion_of_the_kept_models(
+    ) -> Result<(), ajax_index::IndexBuildError> {
+        use ajax_index::invert::{IndexBuilder, InvertedIndex};
+
+        let (server, start) = vidshare(30);
+        for (partition_size, partitions, max_index_states) in [
+            (30, 1, None),
+            (15, 2, None),
+            (10, 3, None),
+            (10, 3, Some(2)),
+        ] {
+            let config = EngineConfig {
+                partition_size,
+                max_index_states,
+                keep_models: true,
+                ..EngineConfig::ajax(30)
+            };
+            let engine =
+                AjaxSearchEngine::build(Arc::clone(&server) as Arc<dyn Server>, &start, config);
+            let mut oracle = match max_index_states {
+                Some(m) => IndexBuilder::new().with_max_states(m),
+                None => IndexBuilder::new(),
+            };
+            for model in &engine.models {
+                oracle.add_model(model, engine.graph.pagerank.get(&model.url).copied());
+            }
+            let (shards, _) = engine.broker.into_parts();
+            assert_eq!(shards.len(), partitions);
+            assert_eq!(
+                InvertedIndex::try_merge_segments(shards)?,
+                oracle.build(),
+                "{partitions} partitions, max_index_states {max_index_states:?}"
+            );
+        }
+        Ok(())
     }
 }

@@ -492,20 +492,14 @@ impl InvertedIndex {
         (page.pagerank, ajax)
     }
 
-    /// K-way merge of index segments into one canonical index — panicking
-    /// wrapper over [`InvertedIndex::try_merge_segments`] for callers that
-    /// treat overflow as fatal.
-    pub fn merge_segments(segments: Vec<InvertedIndex>) -> InvertedIndex {
-        InvertedIndex::try_merge_segments(segments)
-            .expect("index merge overflowed the u32 offset space")
-    }
-
-    /// K-way merge of index segments into one canonical index — the
-    /// parallel build's combine step. Pages are concatenated in segment
-    /// order (doc keys re-based); the dictionaries are merge-joined (all
-    /// sorted), and each output term's run is the concatenation of the
-    /// segments' runs in segment order. Linear in total postings plus
-    /// `terms × segments` for the join.
+    /// K-way merge of index segments into one canonical index — how
+    /// `ajax-search build` saves a multi-partition engine as one file. The
+    /// result equals one [`IndexBuilder`] pass over the segments' models in
+    /// segment order. Pages are concatenated in segment order (doc keys
+    /// re-based); the dictionaries are merge-joined (all sorted), and each
+    /// output term's run is the concatenation of the segments' runs in
+    /// segment order. Linear in total postings plus `terms × segments` for
+    /// the join.
     ///
     /// Mapped segments are materialized first (the merge needs random
     /// access to whole runs). Fails with a typed error if the combined
@@ -1008,142 +1002,32 @@ impl IndexBuilder {
     }
 }
 
-/// Minimum prospective state count for the parallel segment build to pay
-/// off. Below this, thread spawn plus the k-way merge pass costs more than
-/// the inversion it parallelizes. Measured on VidShare with two threads on
-/// two cores, unpinned, best and median of 15 builds: 400 pages (1 599
-/// states) 19.4 / 22.2 ms serial vs 24.7 / 34.1 ms parallel; 2 000 pages
-/// (7 999 states, just under this) 97.8 / 116.9 ms serial vs 82.4 / 163.8 ms
-/// parallel — the best parallel run leads, the median trails. So small
-/// corpora take the serial path.
-pub const PARALLEL_BUILD_MIN_STATES: usize = 8192;
-
-/// Which build strategy [`build_index_parallel`] will actually run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildPath {
-    /// Single [`IndexBuilder`] over the whole model sequence.
-    Serial,
-    /// Per-thread segment builds merged with
-    /// [`InvertedIndex::merge_segments`].
-    Parallel,
-}
-
-impl BuildPath {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BuildPath::Serial => "serial",
-            BuildPath::Parallel => "parallel",
-        }
-    }
-}
-
-/// The path [`build_index_parallel`] will take for this input: parallel only
-/// when there is more than one chunk to hand out **and** the prospective
-/// state count (post state-cap) clears [`PARALLEL_BUILD_MIN_STATES`].
-pub fn planned_build_path(
+/// Inverts one partition: one [`IndexBuilder`] over `models` (each with its
+/// PageRank) in order, indexing at most `max_states` states per page.
+/// Panics on overflow, as [`IndexBuilder::build`] does.
+pub fn build_index(
     models: &[(&AppModel, Option<f64>)],
     max_states: Option<usize>,
-    threads: usize,
-) -> BuildPath {
-    if threads.max(1).min(models.len().max(1)) <= 1 {
-        return BuildPath::Serial;
-    }
-    let cap = max_states.unwrap_or(usize::MAX);
-    let prospective: usize = models.iter().map(|(m, _)| m.states.len().min(cap)).sum();
-    if prospective < PARALLEL_BUILD_MIN_STATES {
-        BuildPath::Serial
-    } else {
-        BuildPath::Parallel
-    }
-}
-
-/// Builds an index over `models` with a **parallel segment build**: the
-/// model list is split into `threads` contiguous chunks, each chunk is
-/// inverted independently on its own thread ([`IndexBuilder`] per segment),
-/// and the sorted segments are k-way merged ([`InvertedIndex::merge_segments`])
-/// into one canonical index.
-///
-/// Small inputs ([`planned_build_path`] → [`BuildPath::Serial`]) fall back
-/// to a single sequential builder: under [`PARALLEL_BUILD_MIN_STATES`]
-/// prospective states the segment-merge overhead exceeds the parallel win.
-///
-/// Deterministic by construction: chunking depends only on `models.len()`
-/// and `threads`, the merge concatenates runs in chunk order, and the serial
-/// fallback produces the same canonical layout — the result is
-/// `PartialEq`-identical to a sequential build over the same model sequence
-/// regardless of which path runs.
-pub fn build_index_parallel(
-    models: &[(&AppModel, Option<f64>)],
-    max_states: Option<usize>,
-    threads: usize,
 ) -> InvertedIndex {
-    try_build_index_parallel(models, max_states, threads)
-        .expect("index build overflowed the u32 offset space")
-}
-
-/// [`build_index_parallel`] returning the typed overflow error instead of
-/// panicking.
-pub fn try_build_index_parallel(
-    models: &[(&AppModel, Option<f64>)],
-    max_states: Option<usize>,
-    threads: usize,
-) -> Result<InvertedIndex, IndexBuildError> {
-    let path = planned_build_path(models, max_states, threads);
-    try_build_index_with_path(models, max_states, threads, path)
-}
-
-/// [`build_index_parallel`] with the path decision made by the caller —
-/// tests force [`BuildPath::Parallel`] on tiny corpora to keep the
-/// segment-merge machinery covered.
-pub fn build_index_with_path(
-    models: &[(&AppModel, Option<f64>)],
-    max_states: Option<usize>,
-    threads: usize,
-    path: BuildPath,
-) -> InvertedIndex {
-    try_build_index_with_path(models, max_states, threads, path)
-        .expect("index build overflowed the u32 offset space")
-}
-
-fn try_build_index_with_path(
-    models: &[(&AppModel, Option<f64>)],
-    max_states: Option<usize>,
-    threads: usize,
-    path: BuildPath,
-) -> Result<InvertedIndex, IndexBuildError> {
-    let new_builder = || match max_states {
+    let mut b = match max_states {
         Some(m) => IndexBuilder::new().with_max_states(m),
         None => IndexBuilder::new(),
     };
-    let threads = threads.max(1).min(models.len().max(1));
-    if threads <= 1 || path == BuildPath::Serial {
-        let mut b = new_builder();
-        for (model, pr) in models {
-            b.add_model(model, *pr);
-        }
-        return b.try_build();
+    for (model, pr) in models {
+        b.add_model(model, *pr);
     }
+    b.build()
+}
 
-    let chunk = models.len().div_ceil(threads);
-    let segments: Result<Vec<InvertedIndex>, IndexBuildError> = std::thread::scope(|scope| {
-        let handles: Vec<_> = models
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    let mut b = new_builder();
-                    for (model, pr) in slice {
-                        b.add_model(model, *pr);
-                    }
-                    b.try_build()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("segment build panicked"))
-            .collect()
-    });
-    InvertedIndex::try_merge_segments(segments?)
+/// [`build_index`] under its old name; the thread count is ignored. Kept
+/// only because the benchmark package imports it: the next benchmark change
+/// switches to [`build_index`] and deletes this.
+pub fn build_index_parallel(
+    models: &[(&AppModel, Option<f64>)],
+    max_states: Option<usize>,
+    _threads: usize,
+) -> InvertedIndex {
+    build_index(models, max_states)
 }
 
 #[cfg(test)]
@@ -1299,19 +1183,34 @@ mod tests {
         );
     }
 
+    /// One index per `chunk`-model partition, merged as `ajax-search build`
+    /// saves an engine.
+    fn merged_partitions(
+        refs: &[(&AppModel, Option<f64>)],
+        chunk: usize,
+        max_states: Option<usize>,
+    ) -> Result<InvertedIndex, IndexBuildError> {
+        let parts = refs
+            .chunks(chunk)
+            .map(|part| build_index(part, max_states))
+            .collect();
+        InvertedIndex::try_merge_segments(parts)
+    }
+
     #[test]
-    fn approx_bytes_identical_across_build_paths() {
+    fn approx_bytes_identical_across_build_paths() -> Result<(), IndexBuildError> {
         // Structurally equal indexes must report identical sizes: capacity
-        // padding differs between serial and parallel builds, content does
-        // not.
+        // padding differs between one build and merged partitions, content
+        // does not.
         let models: Vec<AppModel> = (0..9)
             .map(|i| toy_model(&format!("http://x/{i}"), &["alpha beta", "gamma delta"]))
             .collect();
         let refs: Vec<(&AppModel, Option<f64>)> = models.iter().map(|m| (m, Some(0.1))).collect();
-        let serial = build_index_parallel(&refs, None, 1);
-        let parallel = build_index_with_path(&refs, None, 4, BuildPath::Parallel);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.approx_bytes(), parallel.approx_bytes());
+        let serial = build_index(&refs, None);
+        let merged = merged_partitions(&refs, 3, None)?;
+        assert_eq!(serial, merged);
+        assert_eq!(serial.approx_bytes(), merged.approx_bytes());
+        Ok(())
     }
 
     #[test]
@@ -1343,7 +1242,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_equals_sequential() {
+    fn parallel_build_equals_sequential() -> Result<(), IndexBuildError> {
         let models: Vec<AppModel> = (0..13)
             .map(|i| {
                 toy_model(
@@ -1357,45 +1256,19 @@ mod tests {
             .collect();
         let refs: Vec<(&AppModel, Option<f64>)> =
             models.iter().map(|m| (m, Some(1.0 / 13.0))).collect();
-        let sequential = build_index_parallel(&refs, None, 1);
-        for threads in [2, 3, 4, 13, 64] {
-            // Force the parallel path: this corpus is far below the
-            // min-states threshold, but the segment merge must stay
-            // equivalence-covered.
-            let parallel = build_index_with_path(&refs, None, threads, BuildPath::Parallel);
-            assert_eq!(sequential, parallel, "threads={threads}");
-            // The public entry point picks serial here and must agree too.
-            assert_eq!(sequential, build_index_parallel(&refs, None, threads));
+        // Partitions built apart, as the parallel crawl's process lines do,
+        // merge to the one sequential build, with and without a state cap.
+        for max_states in [None, Some(1)] {
+            let sequential = build_index(&refs, max_states);
+            for chunk in [1, 4, 5, 13] {
+                let merged = merged_partitions(&refs, chunk, max_states)?;
+                assert_eq!(
+                    sequential, merged,
+                    "chunk={chunk} max_states={max_states:?}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn small_corpora_plan_serial_builds() {
-        let models: Vec<AppModel> = (0..4)
-            .map(|i| toy_model(&format!("http://x/{i}"), &["a b", "c d"]))
-            .collect();
-        let refs: Vec<(&AppModel, Option<f64>)> = models.iter().map(|m| (m, None)).collect();
-        assert_eq!(planned_build_path(&refs, None, 4), BuildPath::Serial);
-        assert_eq!(planned_build_path(&refs, None, 1), BuildPath::Serial);
-        // A single model can never be chunked, whatever its size.
-        assert_eq!(planned_build_path(&refs[..1], None, 8), BuildPath::Serial);
-    }
-
-    #[test]
-    fn large_corpora_plan_parallel_builds() {
-        let texts: Vec<String> = (0..PARALLEL_BUILD_MIN_STATES / 2)
-            .map(|i| format!("state text {i}"))
-            .collect();
-        let text_refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let big = [
-            toy_model("http://x/0", &text_refs),
-            toy_model("http://x/1", &text_refs),
-        ];
-        let refs: Vec<(&AppModel, Option<f64>)> = big.iter().map(|m| (m, None)).collect();
-        assert_eq!(planned_build_path(&refs, None, 4), BuildPath::Parallel);
-        // The state cap shrinks the prospective count back under the
-        // threshold: the plan must honour post-cap sizes, not raw ones.
-        assert_eq!(planned_build_path(&refs, Some(16), 4), BuildPath::Serial);
+        Ok(())
     }
 }
 
@@ -1421,31 +1294,33 @@ mod merge_tests {
     }
 
     #[test]
-    fn merged_equals_jointly_built() {
+    fn merged_equals_jointly_built() -> Result<(), IndexBuildError> {
         let m1 = model("http://a", &["wow video", "more wow"]);
         let m2 = model("http://b", &["dance wow"]);
         let m3 = model("http://c", &["silence here"]);
 
-        let merged = InvertedIndex::merge_segments(vec![
+        let merged = InvertedIndex::try_merge_segments(vec![
             build(std::slice::from_ref(&m1)),
             build(&[m2.clone(), m3.clone()]),
-        ]);
+        ])?;
         let joint = build(&[m1, m2, m3]);
 
         // Canonical layout ⇒ structural equality, not just logical.
         assert_eq!(merged, joint);
+        Ok(())
     }
 
     #[test]
-    fn merge_into_empty() {
+    fn merge_into_empty() -> Result<(), IndexBuildError> {
         let empty = IndexBuilder::new().build();
         let other = build(&[model("http://a", &["x y"])]);
-        let merged = InvertedIndex::merge_segments(vec![empty, other.clone()]);
+        let merged = InvertedIndex::try_merge_segments(vec![empty, other.clone()])?;
         assert_eq!(merged, other);
+        Ok(())
     }
 
     #[test]
-    fn merge_segments_many() {
+    fn merge_segments_many() -> Result<(), IndexBuildError> {
         let models: Vec<AppModel> = (0..7)
             .map(|i| {
                 model(
@@ -1456,7 +1331,8 @@ mod merge_tests {
             .collect();
         let joint = build(&models);
         let segments: Vec<InvertedIndex> = models.chunks(2).map(build).collect();
-        let merged = InvertedIndex::merge_segments(segments);
+        let merged = InvertedIndex::try_merge_segments(segments)?;
         assert_eq!(merged, joint);
+        Ok(())
     }
 }

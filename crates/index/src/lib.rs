@@ -48,9 +48,8 @@ pub mod tokenize;
 pub use aggregate::{locate_terms, ElementHit};
 pub use dict::{TermDict, TermId};
 pub use invert::{
-    build_index_parallel, build_index_with_path, planned_build_path, try_build_index_parallel,
-    BuildPath, DocKey, IndexBuildError, IndexBuilder, InvertedIndex, PostingList, TermScratch,
-    PARALLEL_BUILD_MIN_STATES,
+    build_index, build_index_parallel, DocKey, IndexBuildError, IndexBuilder, InvertedIndex,
+    PostingList, TermScratch,
 };
 pub use kernel::ScoreScratch;
 pub use persist::{

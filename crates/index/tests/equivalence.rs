@@ -10,8 +10,7 @@ mod spec;
 
 use ajax_crawl::model::AppModel;
 use ajax_index::{
-    build_index_parallel, build_index_with_path, search, search_top_k, BuildPath, Query,
-    QueryBroker, RankWeights,
+    search, search_top_k, IndexBuildError, InvertedIndex, Query, QueryBroker, RankWeights,
 };
 use proptest::prelude::*;
 use spec::{brute_force, brute_force_single, build, hits, single_hits, Corpus};
@@ -139,32 +138,28 @@ fn broker_search_equals_reference() {
 }
 
 #[test]
-fn parallel_build_searches_identically() {
+fn parallel_build_searches_identically() -> Result<(), IndexBuildError> {
     let models = corpus(11, 17);
-    let refs: Vec<(&AppModel, Option<f64>)> =
-        models.iter().map(|m| (m, Some(1.0 / 17.0))).collect();
     let sequential = build(&sharded(&models, 17, "").shards[0]);
-    // Force the parallel path (this corpus is under the min-states
-    // threshold) so segment-merge equivalence stays pinned end to end.
-    let parallel = build_index_with_path(&refs, None, 4, BuildPath::Parallel);
+    // Partitions built apart, as the parallel crawl's process lines do, and
+    // merged as `ajax-search build` saves them.
+    let merged = InvertedIndex::try_merge_segments(
+        sharded(&models, 5, "").shards.iter().map(build).collect(),
+    )?;
     assert_eq!(
-        sequential, parallel,
+        sequential, merged,
         "canonical layout must make builds structurally equal"
-    );
-    assert_eq!(
-        sequential,
-        build_index_parallel(&refs, None, 4),
-        "the threshold-aware entry point must agree with both"
     );
     let w = RankWeights::default();
     for q in QUERIES {
         let query = Query::parse(q);
         assert_eq!(
             single_hits(&search(&sequential, &query, &w), 0),
-            single_hits(&search(&parallel, &query, &w), 0),
+            single_hits(&search(&merged, &query, &w), 0),
             "query {q:?}"
         );
     }
+    Ok(())
 }
 
 proptest! {
