@@ -2,7 +2,7 @@
 //! hot-node policy), Fig 7.6 (network time) and Fig 7.7 (state throughput).
 
 use crate::scale::Scale;
-use crate::util::{crawl_serial, TableFmt};
+use crate::util::{crawl_serial, watch_urls, TableFmt};
 use ajax_crawl::crawler::{CrawlConfig, PageStats};
 use serde::Serialize;
 
@@ -18,11 +18,14 @@ pub struct CachingData {
 /// sums.
 pub fn collect(scale: &Scale) -> CachingData {
     let max = *scale.cache_subsets.iter().max().unwrap_or(&100);
-    let server = crate::util::server(&scale.spec());
+    let spec = scale.spec();
+    let server = crate::util::server(&spec);
+    let urls = watch_urls(&spec, max);
+    let crawl = |config| crawl_serial(server.clone(), &urls, config, |page| page.stats);
     eprintln!("[caching] crawling {max} videos WITH the hot-node policy…");
-    let cached = crawl_serial(&server, max, CrawlConfig::ajax());
+    let cached = crawl(CrawlConfig::ajax());
     eprintln!("[caching] crawling {max} videos WITHOUT the policy…");
-    let uncached = crawl_serial(&server, max, CrawlConfig::ajax_no_cache());
+    let uncached = crawl(CrawlConfig::ajax_no_cache());
     CachingData {
         subsets: scale.cache_subsets.clone(),
         cached,

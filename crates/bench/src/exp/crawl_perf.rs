@@ -3,7 +3,7 @@
 //! number of states).
 
 use crate::scale::Scale;
-use crate::util::{aggregate, crawl_serial, secs, TableFmt};
+use crate::util::{aggregate, crawl_serial, secs, watch_urls, TableFmt};
 use ajax_crawl::crawler::{CrawlConfig, PageStats};
 use serde::Serialize;
 
@@ -17,17 +17,20 @@ pub struct CrawlPerfData {
 /// Crawls `scale.crawl_pages` pages traditionally and with the full AJAX
 /// (hot-node) crawler.
 pub fn collect(scale: &Scale) -> CrawlPerfData {
-    let server = crate::util::server(&scale.spec());
+    let spec = scale.spec();
+    let server = crate::util::server(&spec);
+    let urls = watch_urls(&spec, scale.crawl_pages);
+    let crawl = |config| crawl_serial(server.clone(), &urls, config, |page| page.stats);
     eprintln!(
         "[crawl_perf] crawling {} pages traditionally…",
         scale.crawl_pages
     );
-    let trad = crawl_serial(&server, scale.crawl_pages, CrawlConfig::traditional());
+    let trad = crawl(CrawlConfig::traditional());
     eprintln!(
         "[crawl_perf] crawling {} pages with AJAX…",
         scale.crawl_pages
     );
-    let ajax = crawl_serial(&server, scale.crawl_pages, CrawlConfig::ajax());
+    let ajax = crawl(CrawlConfig::ajax());
     CrawlPerfData { trad, ajax }
 }
 
@@ -228,17 +231,7 @@ impl Fig74 {
     }
 }
 
-/// Convenience: everything in §7.2 as one printout.
-pub fn render_all(data: &CrawlPerfData) -> String {
-    format!(
-        "{}\n{}\n{}",
-        table7_2(data).render(),
-        fig7_3(data).render(),
-        fig7_4(data).render()
-    )
-}
-
-/// Short human summary line used by `exp_all`.
+/// Short human summary line of `exp all`.
 pub fn summary(data: &CrawlPerfData) -> String {
     let t = table7_2(data);
     format!(

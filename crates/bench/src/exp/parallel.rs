@@ -47,14 +47,10 @@ pub struct ParallelData {
 /// Runs the parallel crawl (4 process lines, 2 cores — the thesis machine)
 /// for both flavours.
 pub fn collect(scale: &Scale) -> ParallelData {
-    collect_with(scale, 4, 2)
-}
-
-/// Parameterized variant (used by the ablation bench).
-pub fn collect_with(scale: &Scale, proc_lines: usize, cores: usize) -> ParallelData {
+    let (proc_lines, cores) = (4, 2);
     let spec = scale.spec();
     let server = crate::util::server(&spec);
-    let urls: Vec<String> = (0..scale.crawl_pages).map(|v| spec.watch_url(v)).collect();
+    let urls = crate::util::watch_urls(&spec, scale.crawl_pages);
     let partitions = partition_urls(&urls, 50);
 
     let run = |config: CrawlConfig, flavour: &str| -> FlavourTiming {

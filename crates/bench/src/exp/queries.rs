@@ -217,9 +217,4 @@ impl QueryTimings {
             t.render()
         )
     }
-
-    /// True when every query returned at least as many AJAX results.
-    pub fn ajax_superset(&self) -> bool {
-        self.rows.iter().all(|(_, _, _, _, tn, an)| an >= tn)
-    }
 }

@@ -143,11 +143,4 @@ impl ThresholdData {
             t.render()
         )
     }
-
-    /// Monotonicity check used by tests: recall gain never decreases.
-    pub fn recall_monotone(&self) -> bool {
-        self.samples
-            .windows(2)
-            .all(|w| w[1].one_minus_rel_recall >= w[0].one_minus_rel_recall - 1e-9)
-    }
 }

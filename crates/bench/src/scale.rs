@@ -45,11 +45,21 @@ impl Scale {
         }
     }
 
-    /// Reads `AJAX_CRAWL_SCALE` (`small` default, `paper` for full size).
-    pub fn from_env() -> Self {
-        match std::env::var("AJAX_CRAWL_SCALE").as_deref() {
-            Ok("paper") | Ok("full") => Self::paper(),
-            _ => Self::small(),
+    /// Reads `AJAX_CRAWL_SCALE`: unset or `small` for [`Scale::small`],
+    /// `paper` for [`Scale::paper`]; any other value is an error.
+    pub fn from_env() -> Result<Self, String> {
+        let value = std::env::var_os("AJAX_CRAWL_SCALE");
+        Self::named(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+    }
+
+    /// The scale called `name` (`None` is the default, `small`).
+    pub fn named(name: Option<&str>) -> Result<Self, String> {
+        match name {
+            None | Some("small") => Ok(Self::small()),
+            Some("paper") => Ok(Self::paper()),
+            Some(other) => Err(format!(
+                "AJAX_CRAWL_SCALE must be small or paper, got {other:?}"
+            )),
         }
     }
 
@@ -68,9 +78,9 @@ mod tests {
 
     #[test]
     fn defaults_to_small() {
-        // (Environment not set in the test harness.)
-        let s = Scale::from_env();
-        assert!(s.crawl_pages <= Scale::paper().crawl_pages);
+        assert_eq!(Scale::named(None), Ok(Scale::small()));
+        assert_eq!(Scale::named(Some("paper")), Ok(Scale::paper()));
+        assert!(Scale::named(Some("full")).is_err());
     }
 
     #[test]

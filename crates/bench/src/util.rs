@@ -1,6 +1,6 @@
 //! Shared experiment plumbing: crawl helpers, table rendering, JSON dumps.
 
-use ajax_crawl::crawler::{CrawlConfig, Crawler, PageStats};
+use ajax_crawl::crawler::{CrawlConfig, Crawler, PageCrawl, PageStats};
 use ajax_net::{LatencyModel, Server, Url};
 use ajax_webgen::{VidShareServer, VidShareSpec};
 use serde::Serialize;
@@ -19,23 +19,33 @@ pub fn latency() -> LatencyModel {
     LatencyModel::thesis_default(LATENCY_SEED)
 }
 
-/// Crawls videos `0..n` serially with `config`, returning per-page stats in
-/// order. Failures panic: the synthetic site must always crawl.
-pub fn crawl_serial(server: &Arc<VidShareServer>, n: u32, config: CrawlConfig) -> Vec<PageStats> {
-    let mut crawler = Crawler::new(Arc::clone(server) as Arc<dyn Server>, latency(), config);
-    (0..n)
-        .map(|v| {
-            let url = Url::parse(&format!("http://vidshare.example/watch?v={v}"));
-            crawler
-                .crawl_page(&url)
-                .unwrap_or_else(|e| panic!("crawl of video {v} failed: {e}"))
-                .stats
+/// The watch URLs of videos `0..n`.
+pub fn watch_urls(spec: &VidShareSpec, n: u32) -> Vec<String> {
+    (0..n).map(|v| spec.watch_url(v)).collect()
+}
+
+/// Crawls `urls` in order with one serial crawler and `config`, keeping
+/// `keep(page)` of each page (its stats, say, so that thousands of models
+/// need not stay alive). Failures panic: the synthetic sites always crawl.
+pub fn crawl_serial<T>(
+    server: Arc<dyn Server>,
+    urls: &[String],
+    config: CrawlConfig,
+    keep: impl Fn(PageCrawl) -> T,
+) -> Vec<T> {
+    let mut crawler = Crawler::new(server, latency(), config);
+    urls.iter()
+        .map(|url| {
+            let page = crawler
+                .crawl_page(&Url::parse(url))
+                .unwrap_or_else(|e| panic!("crawl of {url} failed: {e}"));
+            keep(page)
         })
         .collect()
 }
 
-/// Sums a prefix of per-page stats.
-pub fn aggregate(stats: &[PageStats]) -> PageStats {
+/// Sums per-page stats.
+pub fn aggregate<'a>(stats: impl IntoIterator<Item = &'a PageStats>) -> PageStats {
     let mut total = PageStats::default();
     for s in stats {
         total.merge(s);

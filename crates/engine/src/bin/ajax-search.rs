@@ -54,39 +54,112 @@ use std::sync::Arc;
 /// and `main` reports success: nobody is left to read the rest.
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
+fn usage() -> ExitCode {
+    eprintln!(
+        "usage: ajax-search build --videos N [--site vidshare|news|gallery] [--traditional]\n\
+         \u{20}                  [--max-states N] [--fault-plan SPEC] [--retries N]\n\
+         \u{20}                  [--quarantine-after K] [--report-json FILE]\n\
+         \u{20}                  [--no-static-prune] [--verify-prune]\n\
+         \u{20}                  [--equiv-prune] [--verify-equiv]\n\
+         \u{20}                  [--checkpoint-dir DIR] [--resume] [--checkpoint-every N]\n\
+         \u{20}                  [--trace-out FILE] [--profile] --out FILE\n\
+         \u{20}      ajax-search query --index FILE \"query terms\"\n\
+         \u{20}      ajax-search demo\n\
+         \u{20}      ajax-search serve [--videos N] [--workers W] [--cache N] \
+         [--max-in-flight N] [--deadline-ms N] [--workload FILE]\n\
+         \u{20}                  [--distributed N] [--port BASE] [--hedge-ms N]\n\
+         \u{20}                  [--table74] [--verify-single]\n\
+         \u{20}      ajax-search shard --index FILE [--shard-id I] [--port N]\n\
+         \u{20}      ajax-search analyze [--videos N] [--site vidshare|news|gallery]\n\
+         \u{20}                  [--json] [--effects]\n\
+         \u{20}      ajax-search fsck FILE|DIR"
+    );
+    ExitCode::from(2)
+}
+
+/// The flags a subcommand takes: those followed by a value, then the
+/// switches. `query` has none to check, since every argument but
+/// `--index FILE` is its text.
+fn flags_of(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match cmd {
+        "build" => (
+            &[
+                "--videos",
+                "--out",
+                "--site",
+                "--max-states",
+                "--fault-plan",
+                "--retries",
+                "--quarantine-after",
+                "--report-json",
+                "--checkpoint-dir",
+                "--checkpoint-every",
+                "--trace-out",
+            ],
+            &[
+                "--traditional",
+                "--no-static-prune",
+                "--verify-prune",
+                "--equiv-prune",
+                "--verify-equiv",
+                "--resume",
+                "--profile",
+            ],
+        ),
+        "serve" => (
+            &[
+                "--videos",
+                "--workers",
+                "--cache",
+                "--max-in-flight",
+                "--deadline-ms",
+                "--workload",
+                "--distributed",
+                "--port",
+                "--hedge-ms",
+            ],
+            &["--table74", "--verify-single"],
+        ),
+        "shard" => (&["--index", "--shard-id", "--port"], &[]),
+        "analyze" => (&["--videos", "--site"], &["--json", "--effects"]),
+        "demo" | "fsck" => (&[], &[]),
+        _ => return None,
+    })
+}
+
+/// The first `--` argument that is neither one of `valued` (which skips
+/// the value after it) nor one of `switches`.
+fn unknown_flag<'a>(args: &'a [String], valued: &[&str], switches: &[&str]) -> Option<&'a str> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if valued.contains(&arg.as_str()) {
+            args.next();
+        } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
+            return Some(arg);
+        }
+    }
+    None
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = io::stdout().lock();
-    let result = match args.first().map(String::as_str) {
-        Some("build") => cmd_build(&args[1..]),
-        Some("query") => cmd_query(&args[1..], &mut out),
-        Some("demo") => cmd_demo(&mut out),
-        Some("serve") => cmd_serve(&args[1..], &mut out),
-        Some("shard") => cmd_shard(&args[1..], &mut out),
-        Some("analyze") => cmd_analyze(&args[1..], &mut out),
-        Some("fsck") => cmd_fsck(&args[1..], &mut out),
-        _ => {
-            eprintln!(
-                "usage: ajax-search build --videos N [--site vidshare|news|gallery] [--traditional]\n\
-                 \u{20}                  [--max-states N] [--fault-plan SPEC] [--retries N]\n\
-                 \u{20}                  [--quarantine-after K] [--report-json FILE]\n\
-                 \u{20}                  [--no-static-prune] [--verify-prune]\n\
-                 \u{20}                  [--equiv-prune] [--verify-equiv]\n\
-                 \u{20}                  [--checkpoint-dir DIR] [--resume] [--checkpoint-every N]\n\
-                 \u{20}                  [--trace-out FILE] [--profile] --out FILE\n\
-                 \u{20}      ajax-search query --index FILE \"query terms\"\n\
-                 \u{20}      ajax-search demo\n\
-                 \u{20}      ajax-search serve [--videos N] [--workers W] [--cache N] \
-                 [--max-in-flight N] [--deadline-ms N] [--workload FILE]\n\
-                 \u{20}                  [--distributed N] [--port BASE] [--hedge-ms N]\n\
-                 \u{20}                  [--table74] [--verify-single]\n\
-                 \u{20}      ajax-search shard --index FILE [--shard-id I] [--port N]\n\
-                 \u{20}      ajax-search analyze [--videos N] [--site vidshare|news|gallery]\n\
-                 \u{20}                  [--json] [--effects]\n\
-                 \u{20}      ajax-search fsck FILE|DIR"
-            );
-            return ExitCode::from(2);
+    let cmd = args.first().map_or("", String::as_str);
+    if let Some((valued, switches)) = flags_of(cmd) {
+        if let Some(flag) = unknown_flag(&args[1..], valued, switches) {
+            eprintln!("error: {cmd} does not take {flag}");
+            return usage();
         }
+    }
+    let mut out = io::stdout().lock();
+    let result = match cmd {
+        "build" => cmd_build(&args[1..]),
+        "query" => cmd_query(&args[1..], &mut out),
+        "demo" => cmd_demo(&mut out),
+        "serve" => cmd_serve(&args[1..], &mut out),
+        "shard" => cmd_shard(&args[1..], &mut out),
+        "analyze" => cmd_analyze(&args[1..], &mut out),
+        "fsck" => cmd_fsck(&args[1..], &mut out),
+        _ => return usage(),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

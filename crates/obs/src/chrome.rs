@@ -2,7 +2,7 @@
 //!
 //! The emitter writes the JSON by hand with a fixed field order and integer
 //! timestamps, so equal span lists serialize to byte-identical files — the
-//! property the determinism checks (`exp_fault_sweep`, the CI trace-smoke
+//! property the determinism checks (`exp fault_sweep`, the CI trace-smoke
 //! job) diff on. The output is the documented "JSON Object Format":
 //! `{"traceEvents":[...]}` with `ph:"X"` complete events, which both
 //! `chrome://tracing` and Perfetto load directly.

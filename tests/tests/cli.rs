@@ -1,5 +1,6 @@
-//! `ajax-search query` driven as a subprocess: how the query text is read
-//! from the arguments, and what happens when the reader of stdout goes away.
+//! `ajax-search` driven as a subprocess: how `query` reads its text from the
+//! arguments, what happens when the reader of stdout goes away, and how a
+//! subcommand answers a flag it does not take.
 
 mod support;
 
@@ -51,6 +52,38 @@ fn query_text_is_every_argument_but_the_index_flag() {
     let out = query(&["--index", &index]);
     assert!(!out.status.success(), "an empty query must be an error");
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing query text"));
+}
+
+#[test]
+fn a_flag_the_subcommand_does_not_take_is_a_usage_error() {
+    let Some(bin) = find_ajax_search() else {
+        eprintln!("skipping: ajax-search binary not found (set AJAX_SEARCH_BIN)");
+        return;
+    };
+    let scratch = ScratchDir::new("cli_unknown_flag");
+    let out = scratch.path("index.ajx");
+    let out = out.to_str().expect("UTF-8 temp path");
+    for args in [
+        &["build", "--videos", "1", "--verfy-prune", "--out", out][..],
+        &["build", "--videos=1", "--out", out],
+        &["analyze", "--videos", "1", "--site=news"],
+        &["shard", "--index", out, "--verbose"],
+        &["fsck", "--all", out],
+        &["demo", "--videos", "1"],
+    ] {
+        let run = Command::new(&bin)
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run ajax-search");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(
+            !scratch.path("index.ajx").exists(),
+            "{args:?} built an index"
+        );
+    }
 }
 
 #[test]
