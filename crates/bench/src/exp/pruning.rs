@@ -2,7 +2,7 @@
 //! it sound?
 //!
 //! For each site (VidShare and NewsShare) the whole site is crawled three
-//! ways — planner on (the default), planner off (`--no-static-prune`
+//! ways — planner on (the default), planner off (`--prune off`
 //! semantics), and verify mode (pruned events fire anyway and any state
 //! change counts as a soundness mismatch). A cell reports events fired,
 //! events pruned, virtual makespan, and the two properties the planner
@@ -95,7 +95,7 @@ fn collect_site(site: &str, server: Arc<dyn Server>, urls: &[String]) -> PruneCe
         CrawlConfig::ajax().without_static_prune(),
     );
     eprintln!("[pruning] {site}: verify mode…");
-    let verify = run(server, &partitions, CrawlConfig::ajax().verifying_prune());
+    let verify = run(server, &partitions, CrawlConfig::ajax().verifying());
 
     PruneCell {
         site: site.to_string(),
@@ -181,7 +181,7 @@ impl PruneReport {
 }
 
 /// One site × three crawl modes for the **equivalence/commutativity**
-/// planner (`--equiv-prune` semantics): heuristic off (the baseline),
+/// planner (`--prune equiv` semantics): heuristic off (the baseline),
 /// heuristic on, and verify mode (claimed-barren events fire anyway and
 /// state changes count as mismatches).
 #[derive(Debug, Clone, Serialize)]
@@ -252,7 +252,11 @@ fn collect_equiv_site(site: &str, server: Arc<dyn Server>, urls: &[String]) -> E
         CrawlConfig::ajax().with_equiv_prune(),
     );
     eprintln!("[equiv] {site}: verify mode…");
-    let verify = run(server, &partitions, CrawlConfig::ajax().verifying_equiv());
+    let verify = run(
+        server,
+        &partitions,
+        CrawlConfig::ajax().with_equiv_prune().verifying(),
+    );
 
     EquivCell {
         site: site.to_string(),

@@ -37,7 +37,7 @@ impl BindingVerdict {
     }
 
     /// True when the handler can cause server traffic.
-    pub fn reaches_network(&self) -> bool {
+    pub(crate) fn reaches_network(&self) -> bool {
         self.parsed && self.summary.reaches_network()
     }
 }
@@ -80,7 +80,8 @@ impl PageAnalysis {
 
     /// The bindings that can cause server traffic — the events a
     /// network-conscious crawler would prioritize.
-    pub fn network_bindings(&self) -> Vec<&EventBinding> {
+    #[cfg(test)]
+    pub(crate) fn network_bindings(&self) -> Vec<&EventBinding> {
         self.bindings
             .iter()
             .filter(|b| self.binding_reaches_network(b))
@@ -90,11 +91,6 @@ impl PageAnalysis {
     /// The cached verdict for a handler snippet seen in the initial DOM.
     pub fn verdict(&self, code: &str) -> Option<&BindingVerdict> {
         self.verdicts.get(code)
-    }
-
-    /// All snippet verdicts, keyed by handler source text.
-    pub fn verdicts(&self) -> impl Iterator<Item = (&str, &BindingVerdict)> {
-        self.verdicts.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// The diagnostics of this page, sorted most severe first: graph-level
@@ -228,14 +224,16 @@ impl PageAnalysis {
     }
 
     /// The highest severity present, if any diagnostic fired.
-    pub fn max_severity(&self) -> Option<ajax_js::effects::Severity> {
+    #[cfg(test)]
+    pub(crate) fn max_severity(&self) -> Option<ajax_js::effects::Severity> {
         self.diagnostics().iter().map(|d| d.severity()).max()
     }
 
     /// The canonical equivalence signature of a handler snippet, or `None`
     /// when the snippet failed to parse (unparsed handlers carry
     /// worst-case verdicts and never share a class).
-    pub fn equiv_signature(&self, code: &str) -> Option<String> {
+    #[cfg(test)]
+    pub(crate) fn equiv_signature(&self, code: &str) -> Option<String> {
         self.verdicts
             .get(code)
             .filter(|v| v.parsed)
@@ -253,7 +251,7 @@ impl PageAnalysis {
     /// same-class handlers may still behave differently on a concrete
     /// state (docs/static-analysis.md). The planner therefore only lets
     /// class members inherit a representative's **barren** verdict, and
-    /// `--verify-equiv` cross-checks every inherited verdict at runtime.
+    /// `--verify` cross-checks every inherited verdict at runtime.
     pub fn equiv_classes(&self) -> Vec<EquivClass> {
         let mut by_sig: BTreeMap<String, Vec<String>> = BTreeMap::new();
         for (code, v) in &self.verdicts {
@@ -458,7 +456,7 @@ impl ParsedPage {
 
     /// The merged invocation graph of the scripts that parsed, and how
     /// many did not.
-    pub fn invocation_graph(&self) -> (InvocationGraph, usize) {
+    pub(crate) fn invocation_graph(&self) -> (InvocationGraph, usize) {
         let mut graph = InvocationGraph::default();
         let mut script_errors = 0;
         for script in &self.scripts {

@@ -9,9 +9,7 @@ use crate::hotnode::HotNodeCache;
 use ajax_dom::hash::FnvHashMap;
 use ajax_dom::{Document, Fragment, NodeId, NormalizedView};
 use ajax_js::ast::Program;
-use ajax_js::{
-    DebugHook, GlobalsSnapshot, Host, HostCtx, Interpreter, JsError, NoopHook, ObjId, Value,
-};
+use ajax_js::{DebugHook, GlobalsSnapshot, Host, HostCtx, Interpreter, JsError, ObjId, Value};
 use ajax_net::fault::NetError;
 use ajax_net::sched::Segment;
 use ajax_net::{Micros, NetClient, Url};
@@ -68,7 +66,7 @@ impl<'a> CrawlEnv<'a> {
     }
 
     /// Charges CPU microseconds (virtual) to the clock and the trace.
-    pub fn charge_cpu(&mut self, micros: Micros) {
+    pub(crate) fn charge_cpu(&mut self, micros: Micros) {
         self.net.charge_cpu(micros);
         self.cpu_pending += micros;
     }
@@ -87,23 +85,13 @@ impl<'a> CrawlEnv<'a> {
         self.trace.push(Segment::Net(micros));
     }
 
-    /// Fetches over the network, recording the segment boundary. Transport
-    /// faults surface as synthetic non-2xx responses (no retry) — the
-    /// resilient path is [`Self::fetch_with_retry`].
-    pub fn fetch(&mut self, url: &Url) -> (ajax_net::Response, Micros) {
-        if self.cpu_pending > 0 {
-            self.trace.push(Segment::Cpu(self.cpu_pending));
-            self.cpu_pending = 0;
-        }
-        let (resp, cost) = self.net.fetch_timed(url);
-        self.trace.push(Segment::Net(cost));
-        (resp, cost)
-    }
-
     /// One fallible fetch: like [`Self::fetch`] but transport faults are
     /// surfaced as [`NetError`] instead of synthetic statuses. The burned
     /// virtual time is recorded in the trace either way.
-    pub fn try_fetch(&mut self, url: &Url) -> Result<(ajax_net::Response, Micros), NetError> {
+    pub(crate) fn try_fetch(
+        &mut self,
+        url: &Url,
+    ) -> Result<(ajax_net::Response, Micros), NetError> {
         if self.cpu_pending > 0 {
             self.trace.push(Segment::Cpu(self.cpu_pending));
             self.cpu_pending = 0;
@@ -126,7 +114,7 @@ impl<'a> CrawlEnv<'a> {
     /// response; a non-retryable status returns immediately as
     /// [`FetchFailure::Http`]; running out of attempts (or timeout budget)
     /// returns [`FetchFailure::Exhausted`].
-    pub fn fetch_with_retry(
+    pub(crate) fn fetch_with_retry(
         &mut self,
         url: &Url,
     ) -> Result<(ajax_net::Response, u32), FetchFailure> {
@@ -166,7 +154,7 @@ impl<'a> CrawlEnv<'a> {
     }
 
     /// Flushes any pending CPU time into the trace (call at page end).
-    pub fn flush_trace(&mut self) {
+    pub(crate) fn flush_trace(&mut self) {
         if self.cpu_pending > 0 {
             self.trace.push(Segment::Cpu(self.cpu_pending));
             self.cpu_pending = 0;
@@ -176,7 +164,7 @@ impl<'a> CrawlEnv<'a> {
 
 /// Per-event accounting, reported by [`Browser::fire_event`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EventOutcome {
+pub(crate) struct EventOutcome {
     /// JS error raised by the handler, if any (the crawl continues).
     pub js_error: Option<JsError>,
     /// Interpreter steps the handler burned.
@@ -195,7 +183,7 @@ pub struct EventOutcome {
 
 impl EventOutcome {
     /// True when the event attempted at least one AJAX call.
-    pub fn attempted_ajax(&self) -> bool {
+    pub(crate) fn attempted_ajax(&self) -> bool {
         self.network_calls + self.cache_hits > 0
     }
 }
@@ -502,7 +490,7 @@ type FragmentMemo = HashMap<Box<str>, Arc<Fragment>>;
 /// the state was hashed from. Cloned per discovered state and restored
 /// before each event — the rollback of Alg. 3.1.1, line 17.
 #[derive(Clone)]
-pub struct BrowserSnapshot {
+pub(crate) struct BrowserSnapshot {
     doc: Document,
     view: Rc<NormalizedView>,
     globals: GlobalsSnapshot,
@@ -510,12 +498,12 @@ pub struct BrowserSnapshot {
 
 impl BrowserSnapshot {
     /// The snapshotted DOM (used for transition-target diffing).
-    pub fn doc(&self) -> &Document {
+    pub(crate) fn doc(&self) -> &Document {
         &self.doc
     }
 
     /// The normalized view of [`Self::doc`].
-    pub fn view(&self) -> &NormalizedView {
+    pub(crate) fn view(&self) -> &NormalizedView {
         &self.view
     }
 }
@@ -551,7 +539,7 @@ impl Browser {
     /// Like [`Self::load`], also returning the aggregate [`EventOutcome`] of
     /// the load-time scripts and `onload` handler (XHR accounting: a page
     /// whose load-time XHR exhausts its retries starts in a partial state).
-    pub fn load_with_outcome(
+    pub(crate) fn load_with_outcome(
         url: Url,
         html: &str,
         js_fuel: u64,
@@ -566,7 +554,7 @@ impl Browser {
     /// charged the parse of): `doc` as the server sent it, and its
     /// `<script>` bodies in document order. A script that did not parse
     /// reports its error where it would have run.
-    pub fn load_parsed(
+    pub(crate) fn load_parsed(
         url: Url,
         doc: Document,
         scripts: &[Result<Program, JsError>],
@@ -600,29 +588,26 @@ impl Browser {
         (browser, errors, outcome)
     }
 
-    /// The page URL.
-    pub fn url(&self) -> &Url {
-        &self.url
-    }
-
     /// The current DOM.
-    pub fn doc(&self) -> &Document {
+    pub(crate) fn doc(&self) -> &Document {
         &self.doc
     }
 
     /// Mutable DOM access (tests and replay tooling).
-    pub fn doc_mut(&mut self) -> &mut Document {
+    #[cfg(test)]
+    pub(crate) fn doc_mut(&mut self) -> &mut Document {
         self.view = None;
         &mut self.doc
     }
 
     /// The interpreter (for inspecting globals in tests).
-    pub fn interp(&self) -> &Interpreter {
+    #[cfg(test)]
+    pub(crate) fn interp(&self) -> &Interpreter {
         &self.interp
     }
 
     /// Fires one event handler snippet against the current state.
-    pub fn fire_event(&mut self, code: &str, env: &mut CrawlEnv<'_>) -> EventOutcome {
+    pub(crate) fn fire_event(&mut self, code: &str, env: &mut CrawlEnv<'_>) -> EventOutcome {
         let mut outcome = EventOutcome::default();
         if let Err(e) = self.run_js(Code::Snippet(code), env, &mut outcome) {
             outcome.js_error = Some(e);
@@ -654,7 +639,7 @@ impl Browser {
     /// Snapshots the browser (DOM + JS globals) for later rollback. The
     /// snapshot keeps the view of the page as it stands, so diffing
     /// against it later serializes nothing.
-    pub fn snapshot(&mut self) -> BrowserSnapshot {
+    pub(crate) fn snapshot(&mut self) -> BrowserSnapshot {
         // Index the live page first: the snapshot, its restores and the
         // page itself (whose first restore keeps its DOM) then share one.
         self.doc.ensure_id_index();
@@ -667,7 +652,7 @@ impl Browser {
     }
 
     /// Restores a snapshot taken earlier on this page.
-    pub fn restore(&mut self, snapshot: &BrowserSnapshot) {
+    pub(crate) fn restore(&mut self, snapshot: &BrowserSnapshot) {
         // Holding the snapshot's own view with nothing logged since means
         // nothing touched the page since this snapshot was taken or last
         // restored: the DOM already equals it. The globals are copied back
@@ -688,13 +673,13 @@ impl Browser {
 
     /// Content hash of the current DOM: FNV-64 of [`Self::normalize`]'s
     /// text, the name the state is stored under.
-    pub fn state_hash(&mut self, env: &mut CrawlEnv<'_>) -> u64 {
+    pub(crate) fn state_hash(&mut self, env: &mut CrawlEnv<'_>) -> u64 {
         self.normalize(env).hash()
     }
 
     /// The one normalization of a fired event, charged as hashing the
     /// state: [`Self::view`], which a following [`Self::snapshot`] reuses.
-    pub fn normalize(&mut self, env: &mut CrawlEnv<'_>) -> Rc<NormalizedView> {
+    pub(crate) fn normalize(&mut self, env: &mut CrawlEnv<'_>) -> Rc<NormalizedView> {
         let view = self.view();
         env.charge_cpu(env.costs.hash_cost(view.text().len()));
         view
@@ -704,7 +689,7 @@ impl Browser {
     /// touched the page since it was taken; otherwise that one with what
     /// the page's mutation log names spliced in (a full walk the first
     /// time, and after [`Self::doc_mut`]).
-    pub fn view(&mut self) -> Rc<NormalizedView> {
+    pub(crate) fn view(&mut self) -> Rc<NormalizedView> {
         match &self.view {
             Some(view) if !self.doc.changed_since_view() => Rc::clone(view),
             base => {
@@ -726,7 +711,7 @@ enum Code<'a> {
 /// The `DebugFrameImpl.onEnter` analogue: notices when execution enters a
 /// function already identified as a hot node (the early-detection path of
 /// §4.4.2). Purely observational — interception happens at `send()`.
-pub struct HotEnterDetector {
+pub(crate) struct HotEnterDetector {
     hot_functions: Arc<HashSet<String>>,
     /// Number of entries into known hot nodes observed.
     pub detections: u32,
@@ -735,7 +720,7 @@ pub struct HotEnterDetector {
 impl HotEnterDetector {
     /// Builds a detector over the cache's hot-function registry as it
     /// stands now (functions that turn hot during the run are not seen).
-    pub fn from_cache(cache: &HotNodeCache) -> Self {
+    pub(crate) fn from_cache(cache: &HotNodeCache) -> Self {
         Self {
             hot_functions: Arc::clone(cache.hot_functions()),
             detections: 0,
@@ -751,6 +736,3 @@ impl DebugHook for HotEnterDetector {
         ajax_js::EnterAction::Continue
     }
 }
-
-/// A no-op hook alias re-exported for embedders.
-pub type NoHook = NoopHook;

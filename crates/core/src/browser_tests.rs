@@ -108,7 +108,7 @@ fn hot_node_cache_serves_second_call() {
         );
         let third = browser.fire_event("go(2)", env);
         assert_eq!((third.network_calls, third.cache_hits), (1, 0));
-        assert!(env.cache.is_hot_function("go"));
+        assert!(env.cache.hot_functions().contains("go"));
     });
 }
 

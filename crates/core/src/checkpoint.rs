@@ -32,9 +32,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// The envelope magic for checkpoint files.
-pub const CHECKPOINT_MAGIC: &str = "ajax-checkpoint";
+pub(crate) const CHECKPOINT_MAGIC: &str = "ajax-checkpoint";
 /// The current checkpoint format version.
-pub const CHECKPOINT_VERSION: u64 = 1;
+pub(crate) const CHECKPOINT_VERSION: u64 = 1;
 
 /// One successfully crawled page, as preserved across a crash.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,7 +53,7 @@ pub struct PageRecord {
 /// accounting and fsck visibility; resume re-crawls these URLs (the fault
 /// plan is deterministic, so the outcome is reproduced, not guessed).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FailureRecord {
+pub(crate) struct FailureRecord {
     pub url: String,
     pub error: CrawlError,
     pub attempts: u32,
@@ -63,7 +63,7 @@ pub struct FailureRecord {
 /// A full crawl snapshot: everything needed to resume without re-doing
 /// completed work.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct CrawlCheckpoint {
+pub(crate) struct CrawlCheckpoint {
     /// Fingerprint of the crawl parameters (config, seed URL, partition
     /// shape). Resuming under a different configuration is refused — the
     /// skip-set would silently corrupt the result.
@@ -381,7 +381,7 @@ impl Checkpointer {
 
     /// Records one completed page; commits a snapshot after `every` new
     /// pages since the last one.
-    pub fn record_page(&self, record: PageRecord) {
+    pub(crate) fn record_page(&self, record: PageRecord) {
         let mut inner = self.inner.lock().expect("checkpoint lock");
         if !inner.seen.insert(record.url.clone()) {
             return;
@@ -394,7 +394,7 @@ impl Checkpointer {
     }
 
     /// Records one abandoned page (accounting; resume re-crawls it).
-    pub fn record_failure(&self, record: FailureRecord) {
+    pub(crate) fn record_failure(&self, record: FailureRecord) {
         let mut inner = self.inner.lock().expect("checkpoint lock");
         if inner.failures.iter().any(|f| f.url == record.url) {
             return;
@@ -419,7 +419,8 @@ impl Checkpointer {
     }
 
     /// Current accounting without forcing a snapshot.
-    pub fn stats(&self) -> CheckpointStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> CheckpointStats {
         let inner = self.inner.lock().expect("checkpoint lock");
         CheckpointStats {
             writes: inner.writes,

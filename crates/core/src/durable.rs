@@ -3,7 +3,7 @@
 //!
 //! Two layers:
 //!
-//! * **Atomic commit** ([`commit_bytes`]): serialize to `<path>.tmp`, fsync
+//! * **Atomic commit** ([`commit_parts`]): serialize to `<path>.tmp`, fsync
 //!   the file, rename over the target, fsync the parent directory. A reader
 //!   observes either the old generation or the new one — never a torn mix —
 //!   and a SIGKILL at any instruction leaves at worst a stale `.tmp` beside
@@ -133,17 +133,12 @@ fn io_err(path: &Path, source: std::io::Error) -> DurableError {
     }
 }
 
-/// Atomically replaces `path` with `bytes`: write `<path>.tmp`, fsync,
-/// rename over `path`, fsync the parent directory so the rename itself is
-/// durable. A crash at any point leaves either the previous generation or
-/// the new one, plus at worst a stale `.tmp` (which `fsck` calls
-/// repairable).
-pub fn commit_bytes(path: impl AsRef<Path>, bytes: &[u8]) -> Result<(), DurableError> {
-    commit_parts(path.as_ref(), &[bytes])
-}
-
-/// [`commit_bytes`] of the concatenation of `parts`, written through one
-/// `File` without joining them on the heap first.
+/// Atomically replaces `path` with the concatenation of `parts`, written
+/// through one `File` without joining them on the heap first: write
+/// `<path>.tmp`, fsync, rename over `path`, fsync the parent directory so
+/// the rename itself is durable. A crash at any point leaves either the
+/// previous generation or the new one, plus at worst a stale `.tmp` (which
+/// `fsck` calls repairable).
 fn commit_parts(path: &Path, parts: &[&[u8]]) -> Result<(), DurableError> {
     let tmp = tmp_path(path);
     {
@@ -330,11 +325,6 @@ impl MappedFrame {
     /// The validated payload bytes, borrowed from the mapping.
     pub fn payload(&self) -> &[u8] {
         &self.buf[self.payload.clone()]
-    }
-
-    /// True when the backing is an actual kernel mapping.
-    pub fn is_mapped(&self) -> bool {
-        self.buf.is_mapped()
     }
 }
 
@@ -564,8 +554,8 @@ mod tests {
     #[test]
     fn commit_replaces_previous_generation() {
         let path = temp("replace");
-        commit_bytes(&path, b"generation 1").unwrap();
-        commit_bytes(&path, b"generation 2").unwrap();
+        commit_parts(&path, &[b"generation 1"]).unwrap();
+        commit_parts(&path, &[b"generation 2"]).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"generation 2");
         fs::remove_file(&path).ok();
     }

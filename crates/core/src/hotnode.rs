@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 /// One cached hot call.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CachedCall {
+pub(crate) struct CachedCall {
     /// The URL the call fetched (diagnostics + replay).
     pub url: String,
     /// The response body.
@@ -25,7 +25,7 @@ pub struct CachedCall {
 
 /// Counters for the caching experiments (Figs. 7.5–7.7).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HotNodeStats {
+pub(crate) struct HotNodeStats {
     /// AJAX calls that actually reached the network.
     pub network_calls: u64,
     /// AJAX calls served from the hot-node cache.
@@ -41,16 +41,12 @@ pub struct HotNodeStats {
 }
 
 impl HotNodeStats {
-    /// Total AJAX call attempts (network + cached).
-    pub fn total_calls(&self) -> u64 {
-        self.network_calls + self.cache_hits
-    }
-
     /// Merges another stats block into this one. `hot_nodes` becomes the
     /// size of the unioned name set; when neither side carries names (e.g.
     /// hand-built counters) the counts are summed, which is exact for
     /// disjoint partitions.
-    pub fn merge(&mut self, other: &HotNodeStats) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &HotNodeStats) {
         self.network_calls += other.network_calls;
         self.cache_hits += other.cache_hits;
         self.hot_functions
@@ -82,7 +78,7 @@ impl HotNodeCache {
 
     /// Looks up a hot call. On a hit, bumps the hit counters and returns the
     /// cached body.
-    pub fn lookup(&mut self, key: &str) -> Option<String> {
+    pub(crate) fn lookup(&mut self, key: &str) -> Option<String> {
         match self.entries.get_mut(key) {
             Some(entry) => {
                 entry.hits += 1;
@@ -94,24 +90,19 @@ impl HotNodeCache {
     }
 
     /// Peeks without touching counters.
-    pub fn contains(&self, key: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, key: &str) -> bool {
         self.entries.contains_key(key)
     }
 
-    /// True when `function` has been identified as a hot node — the
-    /// `DebugFrameImpl.onEnter` check of §4.4.2.
-    pub fn is_hot_function(&self, function: &str) -> bool {
-        self.hot_functions.contains(function)
-    }
-
     /// The set of functions identified as hot nodes so far.
-    pub fn hot_functions(&self) -> &Arc<HashSet<String>> {
+    pub(crate) fn hot_functions(&self) -> &Arc<HashSet<String>> {
         &self.hot_functions
     }
 
     /// Records a fresh hot call result fetched from the network.
     /// `function` is the hot node, `key` the `(function, args)` rendering.
-    pub fn insert(&mut self, function: &str, key: String, url: String, body: String) {
+    pub(crate) fn insert(&mut self, function: &str, key: String, url: String, body: String) {
         if !self.hot_functions.contains(function) {
             Arc::make_mut(&mut self.hot_functions).insert(function.to_string());
         }
@@ -124,27 +115,23 @@ impl HotNodeCache {
 
     /// Records a network call made while caching is *disabled* (the baseline
     /// crawler still counts its calls for the comparison experiments).
-    pub fn record_uncached_call(&mut self) {
+    pub(crate) fn record_uncached_call(&mut self) {
         self.stats.network_calls += 1;
     }
 
     /// Accumulated statistics.
-    pub fn stats(&self) -> &HotNodeStats {
+    pub(crate) fn stats(&self) -> &HotNodeStats {
         &self.stats
     }
 
-    /// Number of distinct cached calls.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Drains all `(url, body)` pairs for replay storage.
-    pub fn fetch_records(&self) -> Vec<(String, String)> {
+    pub(crate) fn fetch_records(&self) -> Vec<(String, String)> {
         let mut records: Vec<(String, String)> = self
             .entries
             .values()
@@ -153,12 +140,6 @@ impl HotNodeCache {
         records.sort();
         records.dedup();
         records
-    }
-
-    /// Clears entries but keeps statistics (fresh page, same accounting).
-    pub fn clear_entries(&mut self) {
-        self.entries.clear();
-        self.hot_functions = Arc::default();
     }
 }
 
@@ -182,7 +163,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.network_calls, 1);
         assert_eq!(stats.cache_hits, 2);
-        assert_eq!(stats.total_calls(), 3);
+        assert_eq!(stats.network_calls + stats.cache_hits, 3);
     }
 
     #[test]
@@ -201,10 +182,10 @@ mod tests {
     #[test]
     fn hot_function_registry() {
         let mut cache = HotNodeCache::new();
-        assert!(!cache.is_hot_function("getUrl"));
+        assert!(!cache.hot_functions().contains("getUrl"));
         cache.insert("getUrl", "k1".into(), "/a".into(), "x".into());
         cache.insert("getUrl", "k2".into(), "/b".into(), "y".into());
-        assert!(cache.is_hot_function("getUrl"));
+        assert!(cache.hot_functions().contains("getUrl"));
         assert_eq!(cache.stats().hot_nodes, 1, "one distinct hot node");
     }
 

@@ -37,7 +37,7 @@ pub mod checkpoint;
 pub mod crawler;
 pub mod durable;
 pub mod hotnode;
-pub mod mapfile;
+pub(crate) mod mapfile;
 pub mod model;
 pub mod pagerank;
 pub mod parallel;
@@ -47,25 +47,16 @@ pub mod precrawl;
 pub mod recrawl;
 pub mod replay;
 
-pub use analysis::{
-    analyze_page, canonical_signature, BindingVerdict, EquivClass, PageAnalysis, ParsedPage,
-};
+pub use analysis::{analyze_page, canonical_signature, PageAnalysis, ParsedPage};
 pub use browser::Browser;
-pub use checkpoint::{
-    CheckpointError, CheckpointStats, Checkpointer, CrawlCheckpoint, FailureRecord, PageRecord,
-    ResumeState,
-};
-pub use crawler::{
-    CpuCostModel, CrawlConfig, CrawlError, Crawler, FetchFailure, LastError, PageCrawl, PageStats,
-    RetryPolicy,
-};
+pub use checkpoint::{CheckpointError, CheckpointStats, Checkpointer, ResumeState};
+pub use crawler::{CrawlConfig, CrawlError, Crawler, PageCrawl, PageStats, RetryPolicy};
 pub use durable::DurableError;
-pub use hotnode::{HotNodeCache, HotNodeStats};
-pub use mapfile::MappedFile;
-pub use model::{AppModel, SiteModel, State, StateId, Transition};
+pub use hotnode::HotNodeCache;
+pub use model::{AppModel, State, StateId, Transition};
 pub use pagerank::pagerank;
-pub use parallel::{MpCrawler, MpReport, PageFailure};
+pub use parallel::{MpCrawler, MpReport};
 pub use partition::{partition_urls, Partition};
+pub use planner::Prune;
 pub use precrawl::{LinkGraph, Precrawler};
-pub use recrawl::EventHistory;
-pub use replay::{reconstruct_state, ReplayError, ReplayServer};
+pub use replay::{reconstruct_state, ReplayError};

@@ -19,7 +19,7 @@ use std::path::Path;
 /// A read-only view of a file: memory-mapped when possible, heap-backed
 /// otherwise. Dereferences to `&[u8]`.
 #[derive(Debug)]
-pub struct MappedFile {
+pub(crate) struct MappedFile {
     data: Backing,
 }
 
@@ -42,11 +42,11 @@ unsafe impl Sync for MappedFile {}
 mod sys {
     use std::ffi::c_void;
 
-    pub const PROT_READ: i32 = 1;
-    pub const MAP_PRIVATE: i32 = 2;
+    pub(crate) const PROT_READ: i32 = 1;
+    pub(crate) const MAP_PRIVATE: i32 = 2;
 
     extern "C" {
-        pub fn mmap(
+        pub(crate) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: i32,
@@ -54,14 +54,14 @@ mod sys {
             fd: i32,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> i32;
     }
 }
 
 impl MappedFile {
     /// Opens `path` read-only. Empty files and mapping failures degrade to
     /// the heap backing; I/O errors surface to the caller.
-    pub fn open(path: impl AsRef<Path>) -> io::Result<MappedFile> {
+    pub(crate) fn open(path: impl AsRef<Path>) -> io::Result<MappedFile> {
         let path = path.as_ref();
         #[cfg(unix)]
         {
@@ -99,16 +99,10 @@ impl MappedFile {
         })
     }
 
-    /// A heap-backed view over bytes already in memory (tests, fallbacks).
-    pub fn from_bytes(bytes: Vec<u8>) -> MappedFile {
-        MappedFile {
-            data: Backing::Heap(bytes),
-        }
-    }
-
     /// True when the backing is an actual kernel mapping (pages are shared
     /// with the page cache rather than resident on the heap).
-    pub fn is_mapped(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_mapped(&self) -> bool {
         match &self.data {
             #[cfg(unix)]
             Backing::Mmap { .. } => true,
@@ -116,19 +110,7 @@ impl MappedFile {
         }
     }
 
-    pub fn len(&self) -> usize {
-        match &self.data {
-            #[cfg(unix)]
-            Backing::Mmap { len, .. } => *len,
-            Backing::Heap(v) => v.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         match &self.data {
             #[cfg(unix)]
             // SAFETY: ptr/len describe a live PROT_READ mapping owned by

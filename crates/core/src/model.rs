@@ -18,7 +18,7 @@ pub struct StateId(pub u32);
 
 impl StateId {
     /// The initial state of every page.
-    pub const INITIAL: StateId = StateId(0);
+    pub(crate) const INITIAL: StateId = StateId(0);
 
     #[inline]
     pub fn index(self) -> usize {
@@ -112,7 +112,7 @@ impl AppModel {
     }
 
     /// Looks a state up by id.
-    pub fn state(&self, id: StateId) -> Option<&State> {
+    pub(crate) fn state(&self, id: StateId) -> Option<&State> {
         self.states.get(id.index())
     }
 
@@ -122,7 +122,7 @@ impl AppModel {
     /// Identity is the text. [`State::hash`] is the name a text is stored
     /// under and is not consulted: two texts that collide under FNV stay
     /// two states.
-    pub fn state_by_text<'t>(
+    pub(crate) fn state_by_text<'t>(
         &self,
         texts: impl IntoIterator<Item = &'t str>,
         text: &str,
@@ -157,7 +157,7 @@ impl AppModel {
     }
 
     /// Outgoing transitions of `state`.
-    pub fn outgoing(&self, state: StateId) -> impl Iterator<Item = &Transition> {
+    pub(crate) fn outgoing(&self, state: StateId) -> impl Iterator<Item = &Transition> {
         self.transitions.iter().filter(move |t| t.from == state)
     }
 
@@ -205,16 +205,11 @@ impl AppModel {
         adj
     }
 
-    /// Total text size across states (bytes).
-    pub fn text_bytes(&self) -> usize {
-        self.states.iter().map(|s| s.text.len()).sum()
-    }
-
     /// A stable FNV-64 signature of the transition graph: state hashes plus
     /// `(from, to, source, event, action)` per transition, ignoring timing
     /// and replay payloads. Two crawls explored the same application iff
     /// their signatures agree — the cheap equality the static-prune
-    /// soundness checks (bench experiment, `--verify-prune`) rely on.
+    /// soundness checks (bench experiment, `--verify`) rely on.
     pub fn graph_signature(&self) -> u64 {
         let mut h = ajax_dom::hash::Fnv64::new();
         for s in &self.states {
@@ -233,8 +228,10 @@ impl AppModel {
 
 /// The model of a whole AJAX web site: the page models plus the traditional
 /// hyperlink graph (Fig. 2.3).
+/// Nothing outside the tests builds one.
+#[cfg(test)]
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct SiteModel {
+pub(crate) struct SiteModel {
     pub pages: Vec<AppModel>,
     /// `url -> outbound urls` (hyperlinks, not AJAX transitions).
     pub hyperlinks: HashMap<String, Vec<String>>,
@@ -242,21 +239,22 @@ pub struct SiteModel {
     pub pagerank: HashMap<String, f64>,
 }
 
+#[cfg(test)]
 impl SiteModel {
     /// Total number of states over all pages.
-    pub fn total_states(&self) -> usize {
+    pub(crate) fn total_states(&self) -> usize {
         self.pages.iter().map(AppModel::state_count).sum()
     }
 
     /// Finds a page model by URL.
-    pub fn page(&self, url: &str) -> Option<&AppModel> {
+    pub(crate) fn page(&self, url: &str) -> Option<&AppModel> {
         self.pages.iter().find(|p| p.url == url)
     }
 
     /// Order-independent signature over all page graphs (see
     /// [`AppModel::graph_signature`]): page signatures are combined by
     /// XOR keyed on URL, so partition order does not matter.
-    pub fn graph_signature(&self) -> u64 {
+    pub(crate) fn graph_signature(&self) -> u64 {
         self.pages
             .iter()
             .map(|p| {

@@ -14,14 +14,23 @@
 //! costs two location-set overlaps and two id-set intersections.
 //! `crates/core/tests/planner_spec.rs` holds the two to each other.
 //!
+//! Every reason not to fire an event goes through one
+//! [`EventPlanner`] per page: the avoid list, the previous session's
+//! barren events, and the three claims of the static analysis (purity,
+//! equivalence class, commutativity). Its [`Skip`] names the rule.
+//!
 //! [`PageAnalysis::summaries_commute`]: crate::analysis::PageAnalysis::summaries_commute
 
 use crate::analysis::{canonical_signature, ParsedPage};
 use crate::browser::CrawlEnv;
-use ajax_dom::events::collect_event_bindings;
+use crate::crawler::{CrawlConfig, PageStats};
+use crate::model::StateId;
+use crate::recrawl::EventHistory;
+use ajax_dom::events::{collect_event_bindings, EventBinding};
 use ajax_dom::{Document, EventType};
 use ajax_js::{AbsLoc, EffectAnalysis, EffectSummary, LocSet};
 use ajax_obs::AttrValue;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// One distinct handler source text of a page, numbered from 0 in the
@@ -389,16 +398,6 @@ impl Planner {
     }
 }
 
-/// Which rule claims an event barren without firing it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BarrenClaim {
-    /// The handler was barren in the parent state (or earlier in this
-    /// one), and the event that led here commutes with it.
-    Commute,
-    /// The first fired member of the handler's class was barren here.
-    Equiv,
-}
-
 /// The bookkeeping of equivalence/commutativity pruning over one page
 /// crawl: which handlers are known (or claimed) barren in which state.
 pub(crate) struct BarrenLedger {
@@ -452,12 +451,12 @@ impl BarrenLedger {
         state: usize,
         snippet: SnippetId,
         planner: &mut Planner,
-    ) -> Option<BarrenClaim> {
+    ) -> Option<Skip> {
         if self.state_barren[state].binary_search(&snippet).is_ok() {
-            return Some(BarrenClaim::Commute);
+            return Some(Skip::Commute);
         }
         let class = planner.class_of(snippet)? as usize;
-        (self.class_outcome.get(class) == Some(&Some(true))).then_some(BarrenClaim::Equiv)
+        (self.class_outcome.get(class) == Some(&Some(true))).then_some(Skip::Equiv)
     }
 
     /// Records `snippet` as barren in `state`.
@@ -489,4 +488,234 @@ impl BarrenLedger {
             self.class_outcome[class].get_or_insert(barren);
         }
     }
+}
+
+/// How far the planner may go in claiming events barren without firing
+/// them. The levels are ordered: equivalence needs the purity analysis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub enum Prune {
+    /// Every event fires, as in the plain Alg. 3.1.1 loop.
+    Off,
+    /// Events whose handlers are statically proven pure are skipped.
+    Pure,
+    /// Also handler equivalence classes and commutativity: a heuristic,
+    /// since summaries abstract away written values.
+    Equiv,
+}
+
+/// The rule that claims an event need not fire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Skip {
+    /// The handler matches an avoid pattern: the "no update events" guard
+    /// of §4.3.
+    Avoided,
+    /// The previous session saw the event barren (thesis ch. 10).
+    KnownBarren,
+    /// The handler is statically proven pure.
+    Pure,
+    /// The handler was barren in the parent state (or earlier in this
+    /// one), and the event that led here commutes with it.
+    Commute,
+    /// The first fired member of the handler's class was barren here.
+    Equiv,
+}
+
+/// What firing an event did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fired {
+    /// The handler threw.
+    JsError,
+    /// An XHR exhausted its retries: the state is not materialized.
+    Partial,
+    /// The state did not change.
+    Unchanged,
+    /// The event led to an already-known state.
+    Duplicate,
+    /// The event led to this new state.
+    NewState(StateId),
+    /// The event led to a new state past the state cap.
+    StateCap,
+}
+
+impl Fired {
+    /// The `result` attribute of the `crawl.event` span.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Fired::JsError => "js_error",
+            Fired::Partial => "partial",
+            Fired::Unchanged => "unchanged",
+            Fired::Duplicate | Fired::NewState(_) => "transition",
+            Fired::StateCap => "state_cap",
+        }
+    }
+}
+
+/// Every reason not to fire an event of one page crawl: one question per
+/// binding ([`Self::decide`]) and one record of the answer
+/// ([`Self::record`]).
+pub(crate) struct EventPlanner<'c> {
+    config: &'c CrawlConfig,
+    /// The previous session's outcomes.
+    history: Option<&'c EventHistory>,
+    /// This session's outcomes, for the next one.
+    new_history: EventHistory,
+    /// From `Prune::Pure` on.
+    planner: Option<Planner>,
+    /// At `Prune::Equiv`.
+    ledger: Option<BarrenLedger>,
+    /// The handler of each binding of the state being expanded.
+    snippets: Vec<SnippetId>,
+}
+
+impl<'c> EventPlanner<'c> {
+    /// The planner of one page, analyzing `page` unless `config` prunes
+    /// nothing.
+    pub(crate) fn new(
+        config: &'c CrawlConfig,
+        page: ParsedPage,
+        body_len: usize,
+        env: &mut CrawlEnv<'_>,
+        history: Option<&'c EventHistory>,
+    ) -> Self {
+        Self {
+            config,
+            history,
+            new_history: EventHistory::default(),
+            planner: (config.prune >= Prune::Pure).then(|| Planner::for_page(page, body_len, env)),
+            ledger: (config.prune >= Prune::Equiv).then(BarrenLedger::new),
+            snippets: Vec::new(),
+        }
+    }
+
+    /// Starts expanding `state`, whose events are `bindings`.
+    pub(crate) fn enter_state(&mut self, state: usize, bindings: &[EventBinding]) {
+        self.snippets.clear();
+        if let Some(planner) = &mut self.planner {
+            self.snippets
+                .extend(bindings.iter().map(|b| planner.intern(&b.code)));
+            if let Some(ledger) = &mut self.ledger {
+                ledger.enter_state(state, planner);
+            }
+        }
+    }
+
+    /// The rule, if any, that claims `binding` — the `at`-th of `state` —
+    /// need not fire.
+    pub(crate) fn decide(
+        &mut self,
+        state: usize,
+        at: usize,
+        binding: &EventBinding,
+    ) -> Option<Skip> {
+        let code = binding.code.as_str();
+        if self
+            .config
+            .avoid_actions
+            .iter()
+            .any(|pattern| contains_ignore_case(code, pattern))
+        {
+            return Some(Skip::Avoided);
+        }
+        if self
+            .history
+            .is_some_and(|h| h.is_barren(&binding.source, binding.event_type, code))
+        {
+            return Some(Skip::KnownBarren);
+        }
+        let (planner, &snippet) = (self.planner.as_mut()?, self.snippets.get(at)?);
+        if planner.is_pure(snippet) {
+            return Some(Skip::Pure);
+        }
+        self.ledger.as_ref()?.claim(state, snippet, planner)
+    }
+
+    /// Whether an event with this claim fires: an unclaimed one always,
+    /// a claim of the static analysis only in verify mode.
+    pub(crate) fn fires(&self, claim: Option<Skip>) -> bool {
+        match claim {
+            None => true,
+            Some(Skip::Avoided | Skip::KnownBarren) => false,
+            Some(Skip::Pure | Skip::Commute | Skip::Equiv) => self.config.verify,
+        }
+    }
+
+    /// Records what became of `binding`, the `at`-th of `state`, and counts
+    /// its claim in `stats`: skipped under `claim` (`fired` is `None`), or
+    /// fired. A skipped event counts as barren, except an avoided one,
+    /// which was never observed. A firing that changed the state against a
+    /// claim is a mismatch of the claiming rule.
+    pub(crate) fn record(
+        &mut self,
+        stats: &mut PageStats,
+        state: usize,
+        at: usize,
+        binding: &EventBinding,
+        claim: Option<Skip>,
+        fired: Option<Fired>,
+    ) {
+        match claim {
+            Some(Skip::Avoided | Skip::KnownBarren) => stats.events_skipped += 1,
+            Some(Skip::Pure) => stats.pruned_events += 1,
+            Some(Skip::Commute) => stats.commute_pruned_events += 1,
+            Some(Skip::Equiv) => stats.equiv_pruned_events += 1,
+            None => {}
+        }
+        let snippet = self.snippets.get(at).copied();
+        let changed = match fired {
+            None if claim == Some(Skip::Avoided) => return,
+            None => {
+                if let (Some(ledger), Some(s), Some(Skip::Commute | Skip::Equiv)) =
+                    (&mut self.ledger, snippet, claim)
+                {
+                    ledger.mark_barren(state, s);
+                }
+                false
+            }
+            Some(fired) => {
+                if let (Some(ledger), Some(planner), Some(s)) =
+                    (&mut self.ledger, &mut self.planner, snippet)
+                {
+                    if let Fired::NewState(_) = fired {
+                        ledger.push_state(state, s);
+                    }
+                    // For later members of its class and for barren
+                    // inheritance into child states.
+                    ledger.record_firing(state, s, fired == Fired::Unchanged, planner);
+                }
+                match fired {
+                    Fired::JsError | Fired::Partial => return,
+                    Fired::Unchanged => false,
+                    Fired::Duplicate | Fired::NewState(_) | Fired::StateCap => {
+                        match claim {
+                            Some(Skip::Pure) => stats.prune_mismatches += 1,
+                            Some(Skip::Commute | Skip::Equiv) => stats.equiv_mismatches += 1,
+                            _ => {}
+                        }
+                        true
+                    }
+                }
+            }
+        };
+        self.new_history
+            .record(&binding.source, binding.event_type, &binding.code, changed);
+    }
+
+    /// Counts the page's script errors in `stats` and hands over the
+    /// history for the next session.
+    pub(crate) fn finish(self, stats: &mut PageStats) -> EventHistory {
+        if let Some(planner) = &self.planner {
+            stats.script_errors = planner.script_errors as u64;
+        }
+        self.new_history
+    }
+}
+
+/// Case-insensitive ASCII substring test (an empty needle is in nothing).
+/// Allocates nothing: the guards run it per binding and pattern.
+pub(crate) fn contains_ignore_case(haystack: &str, needle: &str) -> bool {
+    let (haystack, needle) = (haystack.as_bytes(), needle.as_bytes());
+    !needle.is_empty()
+        && haystack
+            .windows(needle.len())
+            .any(|window| window.eq_ignore_ascii_case(needle))
 }

@@ -202,11 +202,6 @@ impl Precrawler {
         graph.precrawl_micros = self.net.now() - t0;
         graph
     }
-
-    /// The network client (statistics).
-    pub fn net(&self) -> &NetClient {
-        &self.net
-    }
 }
 
 #[cfg(test)]

@@ -11,8 +11,6 @@
 //! thesis' snapshot-isolation assumption; a changed application is detected
 //! because productive events are re-fired and re-hashed).
 
-use crate::crawler::PageCrawl;
-use crate::model::AppModel;
 use ajax_dom::hash::FnvHashSet;
 use ajax_dom::EventType;
 use serde::{Deserialize, Serialize};
@@ -28,7 +26,7 @@ pub struct EventHistory {
 
 impl EventHistory {
     /// The lookup key of an event binding.
-    pub fn key(source: &str, event: EventType, action: &str) -> u64 {
+    pub(crate) fn key(source: &str, event: EventType, action: &str) -> u64 {
         let mut h = ajax_dom::hash::Fnv64::new();
         h.write_str(source);
         h.write_str(event.attr_name());
@@ -38,7 +36,7 @@ impl EventHistory {
 
     /// Records a fired event and whether it changed the DOM. A key observed
     /// productive even once stays productive.
-    pub fn record(&mut self, source: &str, event: EventType, action: &str, changed: bool) {
+    pub(crate) fn record(&mut self, source: &str, event: EventType, action: &str, changed: bool) {
         let key = Self::key(source, event, action);
         if changed {
             self.barren.remove(&key);
@@ -49,46 +47,16 @@ impl EventHistory {
     }
 
     /// True when the event is known barren (safe to skip on re-crawl).
-    pub fn is_barren(&self, source: &str, event: EventType, action: &str) -> bool {
+    pub(crate) fn is_barren(&self, source: &str, event: EventType, action: &str) -> bool {
         let key = Self::key(source, event, action);
         self.barren.contains(&key) && !self.productive.contains(&key)
     }
 
     /// Number of barren / productive keys.
-    pub fn counts(&self) -> (usize, usize) {
+    #[cfg(test)]
+    pub(crate) fn counts(&self) -> (usize, usize) {
         (self.barren.len(), self.productive.len())
     }
-
-    /// Builds a history from a crawled model: its transitions are the
-    /// productive events. Barren events cannot be recovered from the model
-    /// alone; use [`history_from_crawl`] for full information.
-    pub fn from_model(model: &AppModel) -> Self {
-        let mut history = Self::default();
-        for t in &model.transitions {
-            history.record(&t.source, t.event, &t.action, true);
-        }
-        history
-    }
-}
-
-/// Builds a full history (productive *and* barren events) from a page crawl
-/// by re-deriving the event outcomes: transitions mark productive triples;
-/// every other fired binding is barren. Requires the crawl to have been made
-/// with the same event-type configuration.
-pub fn history_from_crawl(
-    crawl: &PageCrawl,
-    fired: &[(String, EventType, String)],
-) -> EventHistory {
-    let mut history = EventHistory::from_model(&crawl.model);
-    for (source, event, action) in fired {
-        if !history
-            .productive
-            .contains(&EventHistory::key(source, *event, action))
-        {
-            history.record(source, *event, action, false);
-        }
-    }
-    history
 }
 
 #[cfg(test)]

@@ -18,13 +18,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Serves the responses recorded during crawling (plus the page itself).
-pub struct ReplayServer {
+pub(crate) struct ReplayServer {
     bodies: HashMap<String, String>,
 }
 
 impl ReplayServer {
     /// Builds a replay server from a crawled model.
-    pub fn from_model(model: &AppModel) -> Self {
+    pub(crate) fn from_model(model: &AppModel) -> Self {
         let mut bodies = HashMap::new();
         if let Some(page) = &model.page_html {
             bodies.insert(model.url.clone(), page.clone());

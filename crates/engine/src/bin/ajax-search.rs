@@ -31,6 +31,7 @@
 //! ```
 
 use ajax_crawl::crawler::RetryPolicy;
+use ajax_crawl::Prune;
 use ajax_dist::{partition_models, ClusterConfig, DistCluster};
 use ajax_engine::{analyze_site, AjaxSearchEngine, BuildReport, EngineConfig};
 use ajax_index::invert::InvertedIndex;
@@ -59,8 +60,7 @@ fn usage() -> ExitCode {
         "usage: ajax-search build --videos N [--site vidshare|news|gallery] [--traditional]\n\
          \u{20}                  [--max-states N] [--fault-plan SPEC] [--retries N]\n\
          \u{20}                  [--quarantine-after K] [--report-json FILE]\n\
-         \u{20}                  [--no-static-prune] [--verify-prune]\n\
-         \u{20}                  [--equiv-prune] [--verify-equiv]\n\
+         \u{20}                  [--prune off|pure|equiv] [--verify]\n\
          \u{20}                  [--checkpoint-dir DIR] [--resume] [--checkpoint-every N]\n\
          \u{20}                  [--trace-out FILE] [--profile] --out FILE\n\
          \u{20}      ajax-search query --index FILE \"query terms\"\n\
@@ -95,16 +95,9 @@ fn flags_of(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static st
                 "--checkpoint-dir",
                 "--checkpoint-every",
                 "--trace-out",
+                "--prune",
             ],
-            &[
-                "--traditional",
-                "--no-static-prune",
-                "--verify-prune",
-                "--equiv-prune",
-                "--verify-equiv",
-                "--resume",
-                "--profile",
-            ],
+            &["--traditional", "--verify", "--resume", "--profile"],
         ),
         "serve" => (
             &[
@@ -127,26 +120,42 @@ fn flags_of(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static st
     })
 }
 
-/// The first `--` argument that is neither one of `valued` (which skips
-/// the value after it) nor one of `switches`.
-fn unknown_flag<'a>(args: &'a [String], valued: &[&str], switches: &[&str]) -> Option<&'a str> {
+/// The first misused flag in `args`: a `--` argument that is neither one
+/// of `valued` (which takes the argument after it) nor one of `switches`,
+/// or a valued flag with nothing after it.
+fn flag_error(args: &[String], valued: &[&str], switches: &[&str]) -> Option<String> {
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         if valued.contains(&arg.as_str()) {
-            args.next();
+            if args.next().is_none() {
+                return Some(format!("{arg} needs a value"));
+            }
         } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
-            return Some(arg);
+            return Some(format!("does not take {arg}"));
         }
     }
     None
 }
 
+/// A flag value that is not one of the values the flag takes: reported
+/// with the usage text, like an unknown flag.
+#[derive(Debug)]
+struct UsageError(String);
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for UsageError {}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map_or("", String::as_str);
     if let Some((valued, switches)) = flags_of(cmd) {
-        if let Some(flag) = unknown_flag(&args[1..], valued, switches) {
-            eprintln!("error: {cmd} does not take {flag}");
+        if let Some(error) = flag_error(&args[1..], valued, switches) {
+            eprintln!("error: {cmd} {error}");
             return usage();
         }
     }
@@ -168,6 +177,10 @@ fn main() -> ExitCode {
                 .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
         {
             ExitCode::SUCCESS
+        }
+        Err(e) if e.is::<UsageError>() => {
+            eprintln!("error: {e}");
+            usage()
         }
         Err(e) => {
             eprintln!("error: {e}");
@@ -346,20 +359,18 @@ fn cmd_build(args: &[String]) -> CmdResult {
             .map_err(|_| "--checkpoint-every must be a number".to_string())?;
         config.crawl = config.crawl.with_checkpoint_every(n);
     }
-    if has_flag(args, "--no-static-prune") {
-        config.crawl = config.crawl.without_static_prune();
-    }
-    let verify_prune = has_flag(args, "--verify-prune");
-    if verify_prune {
-        config.crawl = config.crawl.verifying_prune();
-    }
-    if has_flag(args, "--equiv-prune") {
-        config.crawl = config.crawl.with_equiv_prune();
-    }
-    let verify_equiv = has_flag(args, "--verify-equiv");
-    if verify_equiv {
-        config.crawl = config.crawl.verifying_equiv();
-    }
+    config.crawl.prune = match flag_value(args, "--prune") {
+        None => config.crawl.prune,
+        Some("off") => Prune::Off,
+        Some("pure") => Prune::Pure,
+        Some("equiv") => Prune::Equiv,
+        Some(other) => {
+            let error = format!("--prune must be off, pure or equiv, not {other:?}");
+            return Err(UsageError(error).into());
+        }
+    };
+    let verify = has_flag(args, "--verify");
+    config.crawl.verify = verify;
 
     eprintln!(
         "building {} index over {videos} {site} pages…",
@@ -385,25 +396,17 @@ fn cmd_build(args: &[String]) -> CmdResult {
         r.index_bytes as f64 / 1024.0,
         r.shards,
     );
+    let mismatches = |n: u64| match verify {
+        true => format!(", {n} verify mismatches"),
+        false => String::new(),
+    };
     if r.crawl.pruned_events > 0 || r.crawl.script_errors > 0 {
         eprintln!(
             "static analysis: {} events pruned, {} script errors{}",
             r.crawl.pruned_events,
             r.crawl.script_errors,
-            if verify_prune {
-                format!(", {} verify mismatches", r.crawl.prune_mismatches)
-            } else {
-                String::new()
-            },
+            mismatches(r.crawl.prune_mismatches),
         );
-    }
-    if verify_prune && r.crawl.prune_mismatches > 0 {
-        return Err(format!(
-            "--verify-prune found {} soundness mismatches: statically-pruned \
-             events changed application state",
-            r.crawl.prune_mismatches
-        )
-        .into());
     }
     if r.crawl.equiv_pruned_events > 0 || r.crawl.commute_pruned_events > 0 {
         eprintln!(
@@ -411,18 +414,15 @@ fn cmd_build(args: &[String]) -> CmdResult {
              commutativity{}",
             r.crawl.equiv_pruned_events,
             r.crawl.commute_pruned_events,
-            if verify_equiv {
-                format!(", {} verify mismatches", r.crawl.equiv_mismatches)
-            } else {
-                String::new()
-            },
+            mismatches(r.crawl.equiv_mismatches),
         );
     }
-    if verify_equiv && r.crawl.equiv_mismatches > 0 {
+    if verify && r.crawl.prune_mismatches + r.crawl.equiv_mismatches > 0 {
         return Err(format!(
-            "--verify-equiv found {} mismatches: events claimed barren by \
-             equivalence/commutativity actually changed application state",
-            r.crawl.equiv_mismatches
+            "--verify found events claimed barren that changed application \
+             state: {} purity mismatches, {} equivalence/commutativity \
+             mismatches",
+            r.crawl.prune_mismatches, r.crawl.equiv_mismatches
         )
         .into());
     }

@@ -18,7 +18,7 @@
 //! collector cannot classify marks the function opaque and therefore
 //! impure. That one-sidedness is what lets the crawler skip firing events
 //! bound to pure handlers without changing the discovered state machine —
-//! and the `--verify-prune` mode in `ajax-crawl` cross-checks the claim at
+//! and the `--verify` mode in `ajax-crawl` cross-checks the claim at
 //! runtime.
 
 use crate::ast::{AssignOp, AssignTarget, BinOp, Expr, FunctionDecl, Program, Stmt, UnOp};

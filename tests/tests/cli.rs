@@ -1,6 +1,7 @@
 //! `ajax-search` driven as a subprocess: how `query` reads its text from the
-//! arguments, what happens when the reader of stdout goes away, and how a
-//! subcommand answers a flag it does not take.
+//! arguments, what happens when the reader of stdout goes away, how a
+//! subcommand answers a flag it does not take, and how `build --verify`
+//! reports the planner's mismatches.
 
 mod support;
 
@@ -70,6 +71,14 @@ fn a_flag_the_subcommand_does_not_take_is_a_usage_error() {
         &["shard", "--index", out, "--verbose"],
         &["fsck", "--all", out],
         &["demo", "--videos", "1"],
+        // The four planner flags that `--prune` and `--verify` replaced, a
+        // level that does not exist, and a level left out.
+        &["build", "--videos", "1", "--no-static-prune", "--out", out],
+        &["build", "--videos", "1", "--verify-prune", "--out", out],
+        &["build", "--videos", "1", "--equiv-prune", "--out", out],
+        &["build", "--videos", "1", "--verify-equiv", "--out", out],
+        &["build", "--videos", "1", "--prune", "maybe", "--out", out],
+        &["build", "--videos", "1", "--out", out, "--prune"],
     ] {
         let run = Command::new(&bin)
             .args(args)
@@ -84,6 +93,31 @@ fn a_flag_the_subcommand_does_not_take_is_a_usage_error() {
             "{args:?} built an index"
         );
     }
+}
+
+#[test]
+fn verify_names_the_mismatches_of_each_rule() {
+    let Some(bin) = find_ajax_search() else {
+        eprintln!("skipping: ajax-search binary not found (set AJAX_SEARCH_BIN)");
+        return;
+    };
+    let scratch = ScratchDir::new("cli_verify");
+    let out = scratch.path("index.ajx");
+    // NewsShare is where equivalence overreaches (docs/static-analysis.md).
+    let run = Command::new(&bin)
+        .args(["build", "--site", "news", "--videos", "30"])
+        .args(["--prune", "equiv", "--verify", "--out"])
+        .arg(&out)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run ajax-search build");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("0 purity mismatches, 180 equivalence/commutativity mismatches"),
+        "{stderr}"
+    );
+    assert!(!out.exists(), "a failed verify saved an index");
 }
 
 #[test]

@@ -73,7 +73,7 @@ fn pruned_build_is_cheaper_but_identical() {
 #[test]
 fn verify_prune_is_sound_on_both_sites() {
     // VidShare via the engine pipeline.
-    let verified = build(12, CrawlConfig::ajax().verifying_prune());
+    let verified = build(12, CrawlConfig::ajax().verifying());
     assert!(verified.report.crawl.pruned_events > 0);
     assert_eq!(
         verified.report.crawl.prune_mismatches, 0,
@@ -83,11 +83,8 @@ fn verify_prune_is_sound_on_both_sites() {
     // NewsShare via a direct crawl of every page.
     let spec = NewsSpec::small(4);
     let server: Arc<dyn Server> = Arc::new(NewsShareServer::new(spec.clone()));
-    let mut crawler = ajax_crawl::Crawler::new(
-        server,
-        LatencyModel::Zero,
-        CrawlConfig::ajax().verifying_prune(),
-    );
+    let mut crawler =
+        ajax_crawl::Crawler::new(server, LatencyModel::Zero, CrawlConfig::ajax().verifying());
     for page in 0..4 {
         let crawl = crawler
             .crawl_page(&Url::parse(&spec.page_url(page)))
@@ -194,7 +191,7 @@ fn equiv_pruned_gallery_build_is_cheaper_but_identical() {
 
 #[test]
 fn verify_equiv_finds_no_mismatches_on_gallery() {
-    let verified = gallery_build(4, CrawlConfig::ajax().verifying_equiv());
+    let verified = gallery_build(4, CrawlConfig::ajax().with_equiv_prune().verifying());
     assert!(
         verified.report.crawl.equiv_pruned_events + verified.report.crawl.commute_pruned_events > 0,
         "verify mode must still make claims to check"

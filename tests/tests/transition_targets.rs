@@ -180,7 +180,7 @@ fn gallery_claims_verify_with_zero_mismatches() {
     let verified = crawl(
         Arc::new(GalleryServer::new(spec)),
         &urls,
-        CrawlConfig::ajax().verifying_equiv(),
+        CrawlConfig::ajax().with_equiv_prune().verifying(),
     );
     for (page, pruned) in verified.iter().zip(gallery()) {
         assert_eq!(page.stats.equiv_mismatches, 0);
