@@ -145,9 +145,9 @@ impl RetryPolicy {
         self
     }
 
-    /// Whether `status` is worth retrying: server-side errors (5xx, incl.
-    /// the synthetic 598 timeout / 597 drop statuses), request timeout (408)
-    /// and throttling (429). Client errors like 404 are permanent.
+    /// Whether `status` is worth retrying: server-side errors (5xx), request
+    /// timeout (408) and throttling (429). Client errors like 404 are
+    /// permanent.
     pub(crate) fn retry_status(&self, status: u16) -> bool {
         status >= 500 || status == 408 || status == 429
     }

@@ -10,7 +10,7 @@ use crate::crawler::{CpuCostModel, RetryPolicy};
 use crate::pagerank::pagerank_default;
 use ajax_dom::parse_document;
 use ajax_net::fault::FaultPlan;
-use ajax_net::{LatencyModel, Micros, NetClient, Server, Url};
+use ajax_net::{LatencyModel, Micros, NetClient, NetError, Response, Server, Url};
 use ajax_obs::{AttrValue, Recorder};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -106,35 +106,41 @@ impl Precrawler {
 
         while let Some(url) = queue.pop_front() {
             let page_start = self.net.now();
-            // Retry under the policy: transport faults surface as synthetic
-            // retryable statuses (598/597) through the legacy fetch.
-            let mut response = self.net.fetch(&url);
+            // Retry under the policy: a transport fault retries like a
+            // retryable status.
+            let retry = self.retry;
+            let retryable = |fetched: &Result<(Response, Micros), NetError>| match fetched {
+                Ok((response, _)) => !response.is_ok() && retry.retry_status(response.status),
+                Err(_) => true,
+            };
+            let mut fetched = self.net.try_fetch_timed(&url);
             let mut attempt = 1;
-            while !response.is_ok()
-                && self.retry.retry_status(response.status)
-                && attempt < self.retry.max_attempts
-            {
+            while retryable(&fetched) && attempt < retry.max_attempts {
                 self.net
-                    .charge_wait(self.retry.backoff(&url.to_string(), attempt));
-                response = self.net.fetch(&url);
+                    .charge_wait(retry.backoff(&url.to_string(), attempt));
+                fetched = self.net.try_fetch_timed(&url);
                 attempt += 1;
             }
-            if !response.is_ok() {
-                graph.edges.entry(url.to_string()).or_default();
-                if self.recorder.is_on() {
-                    let end = self.net.now();
-                    self.recorder.push(
-                        "precrawl.page",
-                        page_start,
-                        end,
-                        vec![
-                            ("url", AttrValue::str(url.to_string())),
-                            ("status", AttrValue::U64(response.status as u64)),
-                        ],
-                    );
+            let response = match fetched {
+                Ok((response, _)) if response.is_ok() => response,
+                failed => {
+                    graph.edges.entry(url.to_string()).or_default();
+                    if self.recorder.is_on() {
+                        let end = self.net.now();
+                        let why = match failed {
+                            Ok((response, _)) => ("status", AttrValue::U64(response.status as u64)),
+                            Err(e) => ("error", AttrValue::str(e.to_string())),
+                        };
+                        self.recorder.push(
+                            "precrawl.page",
+                            page_start,
+                            end,
+                            vec![("url", AttrValue::str(url.to_string())), why],
+                        );
+                    }
+                    continue;
                 }
-                continue;
-            }
+            };
             self.net
                 .charge_cpu(self.costs.parse_cost(response.body.len()));
             let doc = parse_document(&response.body);
@@ -260,6 +266,47 @@ mod tests {
     fn zero_limit() {
         let graph = precrawl(10, 0);
         assert!(graph.is_empty());
+    }
+
+    #[test]
+    fn transport_faults_retry_like_retryable_statuses() {
+        use ajax_net::{Fault, FaultRule};
+        let start = Url::parse("http://vidshare.example/watch?v=0");
+        let server = || Arc::new(VidShareServer::new(VidShareSpec::small(10)));
+        // Every attempt times out: the page is lost after the policy's
+        // attempts, each charged its timeout and backoff, and its span
+        // names the error.
+        let plan = FaultPlan::new(1)
+            .with_rule(FaultRule::any(1.0, Fault::Timeout))
+            .with_timeout_micros(1_000);
+        let mut pre = Precrawler::new(server(), LatencyModel::Fixed(1_000))
+            .with_fault_plan(plan)
+            .with_recorder(Recorder::enabled());
+        let graph = pre.run(&start, 5);
+        assert_eq!(graph.urls, vec![start.to_string()]);
+        assert_eq!(graph.edges[&start.to_string()], Vec::<String>::new());
+        let retry = RetryPolicy::default();
+        let backoff: Micros = (1..retry.max_attempts)
+            .map(|attempt| retry.backoff(&start.to_string(), attempt))
+            .sum();
+        assert_eq!(
+            graph.precrawl_micros,
+            1_000 * u64::from(retry.max_attempts) + backoff
+        );
+        let spans = pre.take_spans();
+        assert_eq!(spans.len(), 1);
+        assert!(
+            matches!(&spans[0].args[1], ("error", AttrValue::Str(e)) if e.contains("timeout")),
+            "{:?}",
+            spans[0].args
+        );
+        // Drops on half the attempts: retries recover the site.
+        let plan = FaultPlan::new(7).with_rule(FaultRule::any(0.5, Fault::Drop));
+        let faulty = Precrawler::new(server(), LatencyModel::Fixed(1_000))
+            .with_fault_plan(plan)
+            .with_retry(RetryPolicy::default().with_max_attempts(8))
+            .run(&start, 5);
+        assert_eq!(faulty.urls, precrawl(10, 5).urls);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub enum AbsLoc {
 
 impl AbsLoc {
     /// True when the two locations may denote the same element id.
-    pub fn may_overlap(&self, other: &AbsLoc) -> bool {
+    pub(crate) fn may_overlap(&self, other: &AbsLoc) -> bool {
         match (self, other) {
             (AbsLoc::Any, _) | (_, AbsLoc::Any) => true,
             (AbsLoc::Id(a), AbsLoc::Id(b)) => a == b,
@@ -58,7 +58,7 @@ impl AbsLoc {
 
     /// Partial order: every id denoted by `other` is also denoted by
     /// `self` (`other ⊑ self`).
-    pub fn covers(&self, other: &AbsLoc) -> bool {
+    pub(crate) fn covers(&self, other: &AbsLoc) -> bool {
         match (self, other) {
             (AbsLoc::Any, _) => true,
             (_, AbsLoc::Any) => false,
@@ -89,12 +89,12 @@ pub struct LocSet {
 
 impl LocSet {
     /// The empty set (⊥ — touches nothing).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LocSet::default()
     }
 
     /// The unbounded set (⊤ — may touch anything).
-    pub fn any() -> Self {
+    pub(crate) fn any() -> Self {
         let mut s = LocSet::new();
         s.insert(AbsLoc::Any);
         s
@@ -105,11 +105,13 @@ impl LocSet {
     }
 
     /// True when the set contains `Any` (and is therefore `{Any}`).
-    pub fn is_unbounded(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_unbounded(&self) -> bool {
         self.locs.contains(&AbsLoc::Any)
     }
 
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.locs.len()
     }
 
@@ -120,7 +122,7 @@ impl LocSet {
     /// Inserts a location, keeping the antichain invariant: a location
     /// already covered by a member is dropped, and members the new
     /// location covers are removed.
-    pub fn insert(&mut self, loc: AbsLoc) {
+    pub(crate) fn insert(&mut self, loc: AbsLoc) {
         if self.locs.iter().any(|l| l.covers(&loc)) {
             return;
         }
@@ -129,7 +131,7 @@ impl LocSet {
     }
 
     /// Unions `other` into `self`.
-    pub fn union(&mut self, other: &LocSet) {
+    pub(crate) fn union(&mut self, other: &LocSet) {
         for loc in &other.locs {
             self.insert(loc.clone());
         }
@@ -145,7 +147,8 @@ impl LocSet {
 
     /// Widens the set to `Any` once it outgrows `cap` members — the
     /// termination backstop of the interprocedural fixpoint.
-    pub fn widen(&mut self, cap: usize) {
+    #[cfg(test)]
+    pub(crate) fn widen(&mut self, cap: usize) {
         if self.locs.len() > cap {
             self.locs.clear();
             self.locs.insert(AbsLoc::Any);

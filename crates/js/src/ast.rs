@@ -2,20 +2,34 @@
 
 use std::rc::Rc;
 
-/// A parsed program: function declarations are hoisted by the interpreter;
-/// the remaining statements run top to bottom.
+/// A parsed program: a `<script>` body or a handler snippet. Its function
+/// declarations are hoisted by the interpreter; the remaining statements run
+/// top to bottom. Every name its top level uses is [`Binding::Global`], a
+/// top-level `var` included.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     pub body: Vec<Stmt>,
 }
 
-/// A function declaration.
+/// A function declaration, its names resolved (`crate::resolve`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionDecl {
     pub name: String,
     pub params: Vec<String>,
     pub body: Vec<Stmt>,
-    pub line: u32,
+    /// Slots in a call's frame: the parameters, then each distinct `var`.
+    pub frame: usize,
+    pub(crate) line: u32,
+}
+
+/// Where a name lives, decided once when its function is parsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Binding {
+    /// Slot `n` of the enclosing function's frame: a parameter or a `var`
+    /// anywhere in that function's body.
+    Local(usize),
+    /// Every other name: the interpreter's globals, then the host.
+    Global,
 }
 
 /// Statements.
@@ -24,6 +38,7 @@ pub enum Stmt {
     /// `var name = init;`
     VarDecl {
         name: String,
+        binding: Binding,
         init: Option<Expr>,
         line: u32,
     },
@@ -115,6 +130,7 @@ pub enum Expr {
     /// Variable reference.
     Ident {
         name: String,
+        binding: Binding,
         line: u32,
     },
     /// `lhs op rhs` (short-circuit ops are separate).
@@ -179,7 +195,7 @@ pub enum Expr {
 #[derive(Debug, Clone, PartialEq)]
 pub enum AssignTarget {
     /// A plain variable.
-    Ident(String),
+    Ident { name: String, binding: Binding },
     /// `obj.prop` — routed to the host's `set_property` (host objects) or a
     /// dict entry (script objects).
     Member { object: Box<Expr>, prop: String },

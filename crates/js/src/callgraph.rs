@@ -19,25 +19,25 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct FunctionNode {
     pub name: String,
     pub params: Vec<String>,
-    pub line: u32,
+    pub(crate) line: u32,
     /// Names of functions this one invokes directly (user or native).
     pub calls: BTreeSet<String>,
     /// True when the body itself constructs an `XMLHttpRequest` or invokes
     /// `open`/`send` on an object — a *direct* AJAX call site.
     pub direct_ajax: bool,
     /// Syntactic effects of the body (input to `effects::EffectAnalysis`).
-    pub effects: LocalEffects,
+    pub(crate) effects: LocalEffects,
 }
 
 /// A duplicate function definition: JS last-wins semantics are kept, but
 /// the shadowing is recorded so the diagnostics pass can surface it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Redefinition {
-    pub name: String,
+    pub(crate) name: String,
     /// Line of the definition that was replaced.
-    pub first_line: u32,
+    pub(crate) first_line: u32,
     /// Line of the definition that now wins.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 /// The invocation graph of a program (Fig 4.1).
@@ -49,7 +49,7 @@ pub struct InvocationGraph {
     pub top_level_calls: BTreeSet<String>,
     /// Duplicate definitions observed within a script or across merged
     /// `<script>` blocks (the later definition wins, as at runtime).
-    pub redefinitions: Vec<Redefinition>,
+    pub(crate) redefinitions: Vec<Redefinition>,
 }
 
 impl InvocationGraph {
@@ -307,7 +307,7 @@ impl CallCollector {
     fn visit_target(&mut self, target: &crate::ast::AssignTarget) {
         use crate::ast::AssignTarget;
         match target {
-            AssignTarget::Ident(_) => {}
+            AssignTarget::Ident { .. } => {}
             AssignTarget::Member { object, .. } => self.visit_expr(object),
             AssignTarget::Index { object, index } => {
                 self.visit_expr(object);

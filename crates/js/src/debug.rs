@@ -49,16 +49,17 @@ pub struct NoopHook;
 
 impl DebugHook for NoopHook {}
 
-/// A recording hook for tests and instrumentation: collects the sequence of
-/// entered frames.
+/// A recording hook for tests: collects the sequence of entered frames.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct TraceHook {
+pub(crate) struct TraceHook {
     /// `(function, rendered_args)` in entry order.
-    pub entered: Vec<(String, String)>,
+    pub(crate) entered: Vec<(String, String)>,
     /// Number of statements observed.
-    pub statements: u64,
+    pub(crate) statements: u64,
 }
 
+#[cfg(test)]
 impl DebugHook for TraceHook {
     fn on_enter(&mut self, frame: &FrameInfo) -> EnterAction {
         self.entered

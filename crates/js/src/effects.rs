@@ -21,7 +21,7 @@
 //! and the `--verify` mode in `ajax-crawl` cross-checks the claim at
 //! runtime.
 
-use crate::ast::{AssignOp, AssignTarget, BinOp, Expr, FunctionDecl, Program, Stmt, UnOp};
+use crate::ast::{AssignOp, AssignTarget, BinOp, Binding, Expr, FunctionDecl, Program, Stmt, UnOp};
 use crate::callgraph::InvocationGraph;
 use crate::parser::parse_program;
 use crate::value::format_number;
@@ -31,7 +31,7 @@ use std::fmt;
 
 /// Where a value handed to an effectful operation comes from.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ValueSource {
+pub(crate) enum ValueSource {
     /// A compile-time constant (literals and foldable concatenations),
     /// rendered as the string the interpreter would produce.
     Const(String),
@@ -52,8 +52,8 @@ pub enum ValueSource {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallSite {
     pub callee: String,
-    pub args: Vec<ValueSource>,
-    pub line: u32,
+    pub(crate) args: Vec<ValueSource>,
+    pub(crate) line: u32,
 }
 
 /// Syntactic (intraprocedural) effects of one function body. Stored on
@@ -62,46 +62,46 @@ pub struct CallSite {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocalEffects {
     /// Element ids written via `innerHTML` where the id is a constant.
-    pub dom_write_ids: BTreeSet<String>,
+    pub(crate) dom_write_ids: BTreeSet<String>,
     /// `innerHTML` writes whose target id starts with a constant prefix
     /// (`'row_' + i` construction with a parameter-shaped tail).
-    pub dom_write_prefixes: BTreeSet<String>,
+    pub(crate) dom_write_prefixes: BTreeSet<String>,
     /// `innerHTML` writes whose target id is the n-th parameter.
-    pub dom_write_params: BTreeSet<usize>,
+    pub(crate) dom_write_params: BTreeSet<usize>,
     /// `innerHTML` write to a target the analysis cannot name.
-    pub dom_write_dynamic: bool,
+    pub(crate) dom_write_dynamic: bool,
     /// Element ids looked up via `getElementById` with a constant id —
     /// the read half of the read/write-set abstraction. A write target is
     /// also a read (the element is located before it is mutated).
-    pub dom_read_ids: BTreeSet<String>,
+    pub(crate) dom_read_ids: BTreeSet<String>,
     /// Constant-prefix `getElementById` lookups.
-    pub dom_read_prefixes: BTreeSet<String>,
+    pub(crate) dom_read_prefixes: BTreeSet<String>,
     /// `getElementById` lookups whose id is the n-th parameter.
-    pub dom_read_params: BTreeSet<usize>,
+    pub(crate) dom_read_params: BTreeSet<usize>,
     /// A `getElementById` the analysis cannot name.
-    pub dom_read_dynamic: bool,
+    pub(crate) dom_read_dynamic: bool,
     /// XHR URLs sent that are compile-time constants.
-    pub xhr_const_urls: BTreeSet<String>,
+    pub(crate) xhr_const_urls: BTreeSet<String>,
     /// XHR URL templates: a constant prefix with a parameter-shaped tail.
-    pub xhr_url_prefixes: BTreeSet<String>,
+    pub(crate) xhr_url_prefixes: BTreeSet<String>,
     /// XHRs whose URL is the n-th parameter, verbatim.
-    pub xhr_url_params: BTreeSet<usize>,
+    pub(crate) xhr_url_params: BTreeSet<usize>,
     /// An XHR whose URL is computed (or an `open`/`send` on an object the
     /// analysis cannot prove is not an XHR).
-    pub xhr_dynamic: bool,
+    pub(crate) xhr_dynamic: bool,
     /// Global variables read.
-    pub reads_globals: BTreeSet<String>,
+    pub(crate) reads_globals: BTreeSet<String>,
     /// Global variables written (including shared arrays/objects mutated
     /// through method calls, and nested function declarations, which the
     /// interpreter hoists into the global function table).
-    pub writes_globals: BTreeSet<String>,
+    pub(crate) writes_globals: BTreeSet<String>,
     /// Contains a `while`/`for` loop.
-    pub has_loop: bool,
+    pub(crate) has_loop: bool,
     /// The body does something outside the modeled effect space.
-    pub opaque: bool,
+    pub(crate) opaque: bool,
     /// Constant ids written twice in straight-line code with no
     /// intervening read or call — the earlier write is dead (SA010).
-    pub overwritten_ids: BTreeSet<String>,
+    pub(crate) overwritten_ids: BTreeSet<String>,
     /// Outgoing calls with classified arguments.
     pub call_sites: Vec<CallSite>,
 }
@@ -112,7 +112,7 @@ pub struct LocalEffects {
 /// handler fires with the same rendered arguments; dynamic URLs (derived
 /// from mutable globals or computed state) may never re-hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum XhrClass {
+pub(crate) enum XhrClass {
     /// No XHR reachable.
     None,
     /// All reachable XHR URLs are compile-time constants.
@@ -153,11 +153,11 @@ pub struct EffectSummary {
 /// Widening cap for the per-channel location sets: a set that outgrows
 /// this many members collapses to the dynamic/`Any` flag. The program's
 /// constant pool is finite, so this is a backstop, not the usual exit.
-pub const WIDEN_CAP: usize = 32;
+pub(crate) const WIDEN_CAP: usize = 32;
 
 impl EffectSummary {
     /// True when running this code can mutate the DOM.
-    pub fn writes_dom(&self) -> bool {
+    pub(crate) fn writes_dom(&self) -> bool {
         !self.dom_write_ids.is_empty()
             || !self.dom_write_prefixes.is_empty()
             || !self.dom_write_params.is_empty()
@@ -232,7 +232,7 @@ impl EffectSummary {
     /// Classifies the reachable XHR traffic for cache-hitability. URL
     /// templates (constant prefix + parameter tail) re-hit per rendered
     /// argument tuple, exactly like verbatim parameter URLs.
-    pub fn xhr_class(&self) -> XhrClass {
+    pub(crate) fn xhr_class(&self) -> XhrClass {
         if self.xhr_dynamic {
             XhrClass::Dynamic
         } else if !self.xhr_url_params.is_empty() || !self.xhr_url_prefixes.is_empty() {
@@ -349,7 +349,7 @@ impl Lint {
         }
     }
 
-    pub fn severity(self) -> Severity {
+    pub(crate) fn severity(self) -> Severity {
         match self {
             Lint::ScriptParseError | Lint::CallsUndefined => Severity::Error,
             Lint::HandlerRedefinition
@@ -470,11 +470,10 @@ fn classify(v: &AbstractVal) -> ValueSource {
     }
 }
 
-struct EffectCollector<'a> {
-    params: &'a [String],
-    /// `var`-declared names anywhere in the body (function-scoped).
-    locals: BTreeSet<String>,
-    env: BTreeMap<String, AbstractVal>,
+struct EffectCollector {
+    /// What each assigned frame slot holds ([`Binding::Local`]); globals
+    /// are not tracked.
+    env: BTreeMap<usize, AbstractVal>,
     fx: LocalEffects,
     /// Nesting depth of conditional/loop constructs; the SA010 dead-write
     /// check only tracks straight-line (depth-0) code.
@@ -486,27 +485,20 @@ struct EffectCollector<'a> {
 }
 
 /// Computes the syntactic effects of a declared function's body.
-pub fn local_effects_of_function(decl: &FunctionDecl) -> LocalEffects {
-    local_effects(&decl.params, &decl.body)
+pub(crate) fn local_effects_of_function(decl: &FunctionDecl) -> LocalEffects {
+    local_effects(decl.params.len(), &decl.body)
 }
 
 /// Computes the syntactic effects of a parameterless statement list (a
 /// handler snippet or a `<script>` block's top level).
 pub fn local_effects_of_snippet(body: &[Stmt]) -> LocalEffects {
-    local_effects(&[], body)
+    local_effects(0, body)
 }
 
-fn local_effects(params: &[String], body: &[Stmt]) -> LocalEffects {
-    let mut locals = BTreeSet::new();
-    hoist_vars(body, &mut locals);
-    let mut env = BTreeMap::new();
-    for (i, p) in params.iter().enumerate() {
-        env.insert(p.clone(), AbstractVal::Param(i));
-    }
+/// Collects a body whose first `params` slots hold the parameters.
+fn local_effects(params: usize, body: &[Stmt]) -> LocalEffects {
     let mut c = EffectCollector {
-        params,
-        locals,
-        env,
+        env: (0..params).map(|i| (i, AbstractVal::Param(i))).collect(),
         fx: LocalEffects::default(),
         branch_depth: 0,
         linear_writes: BTreeSet::new(),
@@ -517,48 +509,20 @@ fn local_effects(params: &[String], body: &[Stmt]) -> LocalEffects {
     c.fx
 }
 
-/// `var` is function-scoped: collect every declared name up front so reads
-/// before the declaration line resolve locally, as the interpreter does.
-fn hoist_vars(body: &[Stmt], out: &mut BTreeSet<String>) {
-    for stmt in body {
-        match stmt {
-            Stmt::VarDecl { name, .. } => {
-                out.insert(name.clone());
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                hoist_vars(then_branch, out);
-                hoist_vars(else_branch, out);
-            }
-            Stmt::While { body, .. } => hoist_vars(body, out),
-            Stmt::For { init, body, .. } => {
-                if let Some(s) = init {
-                    hoist_vars(std::slice::from_ref(s), out);
-                }
-                hoist_vars(body, out);
-            }
-            Stmt::Block(b) => hoist_vars(b, out),
-            _ => {}
-        }
-    }
-}
-
-impl EffectCollector<'_> {
-    fn is_local(&self, name: &str) -> bool {
-        self.locals.contains(name) || self.params.iter().any(|p| p == name)
-    }
-
+impl EffectCollector {
     fn visit_stmt(&mut self, stmt: &Stmt) {
         match stmt {
-            Stmt::VarDecl { name, init, .. } => {
+            Stmt::VarDecl {
+                name,
+                binding,
+                init,
+                ..
+            } => {
                 let val = match init {
                     Some(e) => self.eval(e),
                     None => AbstractVal::Other,
                 };
-                self.env.insert(name.clone(), val);
+                self.write_var(name, *binding, val);
             }
             Stmt::Expr(e) => {
                 self.eval(e);
@@ -636,7 +600,7 @@ impl EffectCollector<'_> {
                 self.eval(index);
                 AbstractVal::Other
             }
-            Expr::Ident { name, .. } => self.read_ident(name),
+            Expr::Ident { name, binding, .. } => self.read_var(name, *binding),
             Expr::Binary { op, lhs, rhs } => {
                 let a = self.eval(lhs);
                 let b = self.eval(rhs);
@@ -736,26 +700,32 @@ impl EffectCollector<'_> {
         }
     }
 
-    fn read_ident(&mut self, name: &str) -> AbstractVal {
-        if let Some(v) = self.env.get(name) {
-            return v.clone();
+    fn read_var(&mut self, name: &str, binding: Binding) -> AbstractVal {
+        match binding {
+            Binding::Local(slot) => self.env.get(&slot).cloned().unwrap_or(AbstractVal::Other),
+            Binding::Global => {
+                if !is_host_global(name) {
+                    self.fx.reads_globals.insert(name.to_string());
+                }
+                AbstractVal::Other
+            }
         }
-        if self.is_local(name) || is_host_global(name) {
-            return AbstractVal::Other;
+    }
+
+    fn write_var(&mut self, name: &str, binding: Binding, value: AbstractVal) {
+        match binding {
+            Binding::Local(slot) => {
+                self.env.insert(slot, value);
+            }
+            Binding::Global => {
+                self.fx.writes_globals.insert(name.to_string());
+            }
         }
-        self.fx.reads_globals.insert(name.to_string());
-        AbstractVal::Other
     }
 
     fn assign(&mut self, target: &AssignTarget, value: AbstractVal) {
         match target {
-            AssignTarget::Ident(name) => {
-                if self.is_local(name) {
-                    self.env.insert(name.clone(), value);
-                } else {
-                    self.fx.writes_globals.insert(name.clone());
-                }
-            }
+            AssignTarget::Ident { name, binding } => self.write_var(name, *binding, value),
             AssignTarget::Member { object, prop } => {
                 let obj = self.eval(object);
                 if prop == "innerHTML" {
@@ -785,15 +755,16 @@ impl EffectCollector<'_> {
         match obj {
             // Host objects swallow unknown property stores.
             AbstractVal::Element(_) | AbstractVal::Xhr(_) => {}
-            _ => {
-                if let Expr::Ident { name, .. } = object {
-                    if !self.is_local(name) && !is_host_global(name) {
-                        self.fx.writes_globals.insert(name.clone());
-                        return;
-                    }
+            _ => match object {
+                Expr::Ident {
+                    name,
+                    binding: Binding::Global,
+                    ..
+                } if !is_host_global(name) => {
+                    self.fx.writes_globals.insert(name.clone());
                 }
-                self.fx.opaque = true;
-            }
+                _ => self.fx.opaque = true,
+            },
         }
     }
 
@@ -839,8 +810,8 @@ impl EffectCollector<'_> {
     fn method_call(&mut self, object: &Expr, method: &str, args: &[Expr]) -> AbstractVal {
         // `document.getElementById(x)` / `Math.*` without treating the
         // namespace object as a value.
-        if let Expr::Ident { name, .. } = object {
-            if name == "document" && method == "getElementById" {
+        if let Expr::Ident { name, binding, .. } = object {
+            if name == "document" && *binding == Binding::Global && method == "getElementById" {
                 let src = match args.first() {
                     Some(a) => {
                         let v = self.eval(a);
@@ -873,10 +844,13 @@ impl EffectCollector<'_> {
                             .get(1)
                             .map(classify)
                             .unwrap_or(ValueSource::Dynamic);
-                        if let Expr::Ident { name, .. } = object {
-                            if matches!(self.env.get(name), Some(AbstractVal::Xhr(_))) {
-                                self.env.insert(name.clone(), AbstractVal::Xhr(Some(src)));
-                            }
+                        // Only a local slot can hold a tracked XHR.
+                        if let Expr::Ident {
+                            binding: Binding::Local(slot),
+                            ..
+                        } = object
+                        {
+                            self.env.insert(*slot, AbstractVal::Xhr(Some(src)));
                         } else {
                             // `open` on an untracked XHR: assume the worst.
                             self.fx.xhr_dynamic = true;
@@ -1010,7 +984,7 @@ impl EffectAnalysis {
     }
 
     /// The summary for one function, if it exists.
-    pub fn summary(&self, name: &str) -> Option<&EffectSummary> {
+    pub(crate) fn summary(&self, name: &str) -> Option<&EffectSummary> {
         self.summaries.get(name)
     }
 
@@ -1021,7 +995,7 @@ impl EffectAnalysis {
 
     /// Summarizes a parameterless top-level snippet (an event-handler
     /// attribute) against this analysis' function summaries.
-    pub fn snippet_summary(&self, program: &Program) -> EffectSummary {
+    pub(crate) fn snippet_summary(&self, program: &Program) -> EffectSummary {
         let local = local_effects_of_snippet(&program.body);
         // Top-level function declarations in a snippet hoist into the
         // global table — already recorded as global writes by the
@@ -1182,20 +1156,21 @@ fn sccs(names: &[&str], edges: &BTreeMap<&str, Vec<&str>>) -> Vec<Vec<String>> {
             if let Some(w_name) = succs.get(*pos) {
                 *pos += 1;
                 let w = idx_of[w_name];
-                if state[w].index.is_none() {
-                    work.push((w, 0));
-                } else if state[w].on_stack {
-                    state[v].lowlink = state[v].lowlink.min(state[w].index.unwrap());
+                match state[w].index {
+                    None => work.push((w, 0)),
+                    Some(index) if state[w].on_stack => {
+                        state[v].lowlink = state[v].lowlink.min(index);
+                    }
+                    Some(_) => {}
                 }
             } else {
                 work.pop();
                 if let Some(&(parent, _)) = work.last() {
                     state[parent].lowlink = state[parent].lowlink.min(state[v].lowlink);
                 }
-                if state[v].lowlink == state[v].index.unwrap() {
+                if state[v].index == Some(state[v].lowlink) {
                     let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack");
+                    while let Some(w) = stack.pop() {
                         state[w].on_stack = false;
                         comp.push(names[w].to_string());
                         if w == v {

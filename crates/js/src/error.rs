@@ -42,11 +42,11 @@ pub struct JsError {
     pub kind: JsErrorKind,
     pub message: String,
     /// 1-based source line where the error occurred, when known.
-    pub line: Option<u32>,
+    pub(crate) line: Option<u32>,
 }
 
 impl JsError {
-    pub fn new(kind: JsErrorKind, message: impl Into<String>) -> Self {
+    pub(crate) fn new(kind: JsErrorKind, message: impl Into<String>) -> Self {
         Self {
             kind,
             message: message.into(),
@@ -54,7 +54,7 @@ impl JsError {
         }
     }
 
-    pub fn at(kind: JsErrorKind, message: impl Into<String>, line: u32) -> Self {
+    pub(crate) fn at(kind: JsErrorKind, message: impl Into<String>, line: u32) -> Self {
         Self {
             kind,
             message: message.into(),

@@ -21,9 +21,7 @@ pub struct ObjId(pub u32);
 pub struct HostCtx<'a> {
     /// The interpreter call stack, innermost frame last. Event-handler
     /// snippets executing at top level have an empty stack.
-    pub stack: &'a [FrameInfo],
-    /// Total interpreter steps executed so far (virtual CPU cost).
-    pub steps: u64,
+    pub(crate) stack: &'a [FrameInfo],
 }
 
 impl HostCtx<'_> {
@@ -121,10 +119,7 @@ mod tests {
     #[test]
     fn null_host_rejects_everything() {
         let mut h = NullHost;
-        let ctx = HostCtx {
-            stack: &[],
-            steps: 0,
-        };
+        let ctx = HostCtx { stack: &[] };
         assert!(h.call_native("f", &[], &ctx).is_err());
         assert!(h.construct("C", &[], &ctx).is_err());
         assert!(h.call_method(ObjId(0), "m", &[], &ctx).is_err());

@@ -11,9 +11,48 @@ use std::rc::Rc;
 
 /// Default fuel (steps) budget — enough for any sane page script, small
 /// enough to terminate `while(true){}` quickly.
-pub const DEFAULT_FUEL: u64 = 2_000_000;
+pub(crate) const DEFAULT_FUEL: u64 = 2_000_000;
 /// Default maximum call depth.
-pub const DEFAULT_MAX_DEPTH: usize = 100;
+pub(crate) const DEFAULT_MAX_DEPTH: usize = 100;
+
+/// Native stack the interpreter's own recursion may take. Call depth and
+/// parse nesting are each bounded, but their product is not: a function
+/// recursing from the bottom of a deeply nested expression would run into
+/// the guard page. Of the 2 MiB a crawl worker or a test thread has, this
+/// leaves 512 KiB to the embedder's frames above the interpreter and to
+/// host calls below it; a debug build needs ~1.4 MiB of it to reach
+/// [`DEFAULT_MAX_DEPTH`] in `function f(n) { return f(n + 1); }`.
+const STACK_BUDGET: usize = 3 << 19;
+
+/// The native stack a level of the interpreter's recursion holds while the
+/// level below it runs, per build profile. Measured by recording the
+/// address of a local at each level while nesting statements, expressions
+/// (operators, arguments, members, indexes, assignment targets) and calls
+/// in one another, taking the largest distance from each kind of level to
+/// the next, and rounding up to 256 bytes. Re-measure when the evaluator
+/// changes shape; the stack-depth test in `tests/proptests.rs` aborts when
+/// these are too small.
+struct LevelBytes {
+    /// `exec_stmt`, through a nested statement's `exec_block`.
+    stmt: usize,
+    /// `eval_expr`, through a nested call's `dispatch_call`.
+    expr: usize,
+    /// `call_function`'s body loop.
+    call: usize,
+}
+
+#[cfg(debug_assertions)]
+const LEVEL_BYTES: LevelBytes = LevelBytes {
+    stmt: 4096,
+    expr: 9472,
+    call: 1024,
+};
+#[cfg(not(debug_assertions))]
+const LEVEL_BYTES: LevelBytes = LevelBytes {
+    stmt: 768,
+    expr: 1024,
+    call: 512,
+};
 
 /// A call-stack frame as exposed to hosts and debug hooks: the function name
 /// plus its actual arguments rendered to source-ish text — the thesis'
@@ -22,8 +61,8 @@ pub const DEFAULT_MAX_DEPTH: usize = 100;
 pub struct FrameInfo {
     pub function: String,
     /// e.g. `"/comments?v=3&p=2", true`
-    pub rendered_args: String,
-    pub line: u32,
+    pub(crate) rendered_args: String,
+    pub(crate) line: u32,
 }
 
 impl FrameInfo {
@@ -63,13 +102,18 @@ pub struct Interpreter {
     /// pointer. Declaring one later copies the table first.
     functions: Rc<HashMap<String, Rc<FunctionDecl>>>,
     globals: HashMap<String, Value>,
-    /// Local scopes, one per active call frame.
-    locals: Vec<HashMap<String, Value>>,
-    /// Introspectable call stack, parallel to `locals`.
+    /// The frames of the active calls, end to end: a call's
+    /// [`Binding::Local`] slot `n` is `slots[base + n]`.
+    slots: Vec<Value>,
+    /// Where the innermost call's frame starts in `slots`.
+    base: usize,
+    /// Introspectable call stack, one entry per frame in `slots`.
     stack: Vec<FrameInfo>,
     steps: u64,
     fuel_limit: u64,
     max_depth: usize,
+    /// Native stack the active recursion takes, by [`LEVEL_BYTES`].
+    stack_bytes: usize,
     /// Parse results of the snippets [`Self::eval`] has seen, keyed by
     /// source: a crawler fires the same `onclick` text once per state.
     snippets: HashMap<String, Result<Rc<Program>, JsError>>,
@@ -92,11 +136,13 @@ impl Interpreter {
         Self {
             functions: Rc::default(),
             globals: HashMap::new(),
-            locals: Vec::new(),
+            slots: Vec::new(),
+            base: 0,
             stack: Vec::new(),
             steps: 0,
             fuel_limit,
             max_depth: DEFAULT_MAX_DEPTH,
+            stack_bytes: 0,
             snippets: HashMap::new(),
         }
     }
@@ -106,29 +152,14 @@ impl Interpreter {
         self.steps
     }
 
-    /// Resets the step counter (fuel window restarts too).
-    pub fn reset_steps(&mut self) {
-        self.steps = 0;
-    }
-
     /// True when a user function `name` has been declared.
     pub fn has_function(&self, name: &str) -> bool {
         self.functions.contains_key(name)
     }
 
-    /// Names of all declared user functions (unspecified order).
-    pub fn function_names(&self) -> impl Iterator<Item = &str> {
-        self.functions.keys().map(String::as_str)
-    }
-
     /// Reads a global variable.
     pub fn global(&self, name: &str) -> Option<&Value> {
         self.globals.get(name)
-    }
-
-    /// Sets a global variable.
-    pub fn set_global(&mut self, name: &str, value: Value) {
-        self.globals.insert(name.to_string(), value);
     }
 
     /// Snapshots globals + function table (crawler rollback support).
@@ -230,7 +261,8 @@ impl Interpreter {
     }
 
     /// Calls a declared user function by name.
-    pub fn call(
+    #[cfg(test)]
+    pub(crate) fn call(
         &mut self,
         name: &str,
         args: Vec<Value>,
@@ -271,6 +303,29 @@ impl Interpreter {
         }
     }
 
+    /// Runs one level of recursion that takes `bytes` of native stack, or
+    /// fails with [`JsErrorKind::StackOverflow`] when that would exceed
+    /// [`STACK_BUDGET`].
+    fn nested<T>(
+        &mut self,
+        bytes: usize,
+        level: impl FnOnce(&mut Self) -> Result<T, JsError>,
+    ) -> Result<T, JsError> {
+        if self.stack_bytes + bytes > STACK_BUDGET {
+            return Err(JsError::new(
+                JsErrorKind::StackOverflow,
+                format!(
+                    "nesting exceeded the interpreter's {} KiB stack budget",
+                    STACK_BUDGET >> 10
+                ),
+            ));
+        }
+        self.stack_bytes += bytes;
+        let result = level(self);
+        self.stack_bytes -= bytes;
+        result
+    }
+
     fn current_function_name(&self) -> &str {
         self.stack.last().map(|f| f.function.as_str()).unwrap_or("")
     }
@@ -278,6 +333,10 @@ impl Interpreter {
     // ---- statements ------------------------------------------------------
 
     fn exec_stmt(&mut self, stmt: &Stmt, run: &mut Run<'_>) -> Result<Flow, JsError> {
+        self.nested(LEVEL_BYTES.stmt, |this| this.exec_stmt_level(stmt, run))
+    }
+
+    fn exec_stmt_level(&mut self, stmt: &Stmt, run: &mut Run<'_>) -> Result<Flow, JsError> {
         self.burn(0)?;
         match stmt {
             Stmt::Empty => Ok(Flow::Normal),
@@ -285,13 +344,18 @@ impl Interpreter {
                 self.declare(decl);
                 Ok(Flow::Normal)
             }
-            Stmt::VarDecl { name, init, line } => {
+            Stmt::VarDecl {
+                name,
+                binding,
+                init,
+                line,
+            } => {
                 run.hook.on_statement(self.current_function_name(), *line);
                 let value = match init {
                     Some(expr) => self.eval_expr(expr, run)?,
                     None => Value::Undefined,
                 };
-                self.declare_var(name, value);
+                self.write_var(name, *binding, value);
                 Ok(Flow::Normal)
             }
             Stmt::Expr(expr) => {
@@ -371,19 +435,17 @@ impl Interpreter {
 
     // ---- variables -------------------------------------------------------
 
-    fn declare_var(&mut self, name: &str, value: Value) {
-        if let Some(scope) = self.locals.last_mut() {
-            scope.insert(name.to_string(), value);
-        } else {
-            self.globals.insert(name.to_string(), value);
-        }
-    }
+    // Where a name lives was decided when it was parsed (`crate::resolve`).
 
-    fn read_var(&mut self, name: &str, line: u32, run: &mut Run<'_>) -> Result<Value, JsError> {
-        if let Some(scope) = self.locals.last() {
-            if let Some(v) = scope.get(name) {
-                return Ok(v.clone());
-            }
+    fn read_var(
+        &mut self,
+        name: &str,
+        binding: Binding,
+        line: u32,
+        run: &mut Run<'_>,
+    ) -> Result<Value, JsError> {
+        if let Binding::Local(slot) = binding {
+            return Ok(self.slots[self.base + slot].clone());
         }
         if let Some(v) = self.globals.get(name) {
             return Ok(v.clone());
@@ -398,20 +460,24 @@ impl Interpreter {
         ))
     }
 
-    fn write_var(&mut self, name: &str, value: Value) {
-        if let Some(scope) = self.locals.last_mut() {
-            if scope.contains_key(name) {
-                scope.insert(name.to_string(), value);
-                return;
+    /// Assigns a variable; `var x = v` and `var x` (`v` undefined) too.
+    fn write_var(&mut self, name: &str, binding: Binding, value: Value) {
+        match binding {
+            Binding::Local(slot) => self.slots[self.base + slot] = value,
+            // Assignment to an undeclared name creates a global (JS semantics).
+            Binding::Global => {
+                self.globals.insert(name.to_string(), value);
             }
         }
-        // Assignment to an undeclared name creates a global (JS semantics).
-        self.globals.insert(name.to_string(), value);
     }
 
     // ---- expressions -----------------------------------------------------
 
     fn eval_expr(&mut self, expr: &Expr, run: &mut Run<'_>) -> Result<Value, JsError> {
+        self.nested(LEVEL_BYTES.expr, |this| this.eval_expr_level(expr, run))
+    }
+
+    fn eval_expr_level(&mut self, expr: &Expr, run: &mut Run<'_>) -> Result<Value, JsError> {
         self.burn(0)?;
         match expr {
             Expr::Num(n) => Ok(Value::Num(*n)),
@@ -435,7 +501,11 @@ impl Interpreter {
                 let idx = self.eval_expr(index, run)?;
                 self.get_index(&obj, &idx)
             }
-            Expr::Ident { name, line } => self.read_var(name, *line, run),
+            Expr::Ident {
+                name,
+                binding,
+                line,
+            } => self.read_var(name, *binding, *line, run),
             Expr::Unary { op, expr } => {
                 let v = self.eval_expr(expr, run)?;
                 Ok(match op {
@@ -530,10 +600,7 @@ impl Interpreter {
                     Value::Array(items) => array_method(&items, method, &arg_values, *line),
                     Value::Dict(entries) => dict_method(&entries, method, &arg_values, *line),
                     Value::Object(id) => {
-                        let ctx = HostCtx {
-                            stack: &self.stack,
-                            steps: self.steps,
-                        };
+                        let ctx = HostCtx { stack: &self.stack };
                         run.host.call_method(id, method, &arg_values, &ctx)
                     }
                     other => Err(JsError::at(
@@ -545,10 +612,7 @@ impl Interpreter {
             }
             Expr::New { class, args, line } => {
                 let arg_values = self.eval_args(args, run)?;
-                let ctx = HostCtx {
-                    stack: &self.stack,
-                    steps: self.steps,
-                };
+                let ctx = HostCtx { stack: &self.stack };
                 run.host
                     .construct(class, &arg_values, &ctx)
                     .map_err(|e| e_with_line(e, *line))
@@ -562,7 +626,7 @@ impl Interpreter {
 
     fn read_target(&mut self, target: &AssignTarget, run: &mut Run<'_>) -> Result<Value, JsError> {
         match target {
-            AssignTarget::Ident(name) => self.read_var(name, 0, run),
+            AssignTarget::Ident { name, binding } => self.read_var(name, *binding, 0, run),
             AssignTarget::Member { object, prop } => {
                 let obj = self.eval_expr(object, run)?;
                 self.get_member(&obj, prop, run)
@@ -647,18 +711,15 @@ impl Interpreter {
         run: &mut Run<'_>,
     ) -> Result<(), JsError> {
         match target {
-            AssignTarget::Ident(name) => {
-                self.write_var(name, value);
+            AssignTarget::Ident { name, binding } => {
+                self.write_var(name, *binding, value);
                 Ok(())
             }
             AssignTarget::Member { object, prop } => {
                 let obj = self.eval_expr(object, run)?;
                 match obj {
                     Value::Object(id) => {
-                        let ctx = HostCtx {
-                            stack: &self.stack,
-                            steps: self.steps,
-                        };
+                        let ctx = HostCtx { stack: &self.stack };
                         run.host.set_property(id, prop, value, &ctx)
                     }
                     Value::Dict(entries) => {
@@ -717,10 +778,7 @@ impl Interpreter {
             return Ok(v);
         }
         if run.host.has_native(callee) {
-            let ctx = HostCtx {
-                stack: &self.stack,
-                steps: self.steps,
-            };
+            let ctx = HostCtx { stack: &self.stack };
             return run.host.call_native(callee, &args, &ctx);
         }
         Err(JsError::at(
@@ -768,33 +826,25 @@ impl Interpreter {
             EnterAction::Continue => {}
         }
 
-        let mut scope = HashMap::with_capacity(decl.params.len());
-        for (i, param) in decl.params.iter().enumerate() {
-            scope.insert(
-                param.clone(),
-                args.get(i).cloned().unwrap_or(Value::Undefined),
-            );
-        }
-        self.locals.push(scope);
+        // Parameters fill the first slots; the rest start undefined.
+        let base = self.slots.len();
+        self.slots.extend(args.into_iter().take(decl.params.len()));
+        self.slots.resize(base + decl.frame, Value::Undefined);
+        let caller_base = std::mem::replace(&mut self.base, base);
         self.stack.push(frame);
 
-        let mut result = Ok(Value::Undefined);
-        for stmt in &decl.body {
-            match self.exec_stmt(stmt, run) {
-                Ok(Flow::Return(v)) => {
-                    result = Ok(v);
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
+        let result = self.nested(LEVEL_BYTES.call, |this| {
+            for stmt in &decl.body {
+                if let Flow::Return(v) = this.exec_stmt(stmt, run)? {
+                    return Ok(v);
                 }
             }
-        }
+            Ok(Value::Undefined)
+        });
 
         let frame = self.stack.pop().expect("frame pushed above");
-        self.locals.pop();
+        self.slots.truncate(base);
+        self.base = caller_base;
         match &result {
             Ok(v) => run.hook.on_exit(&frame, Ok(v)),
             Err(e) => run.hook.on_exit(&frame, Err(e)),

@@ -4,14 +4,14 @@ use crate::error::{JsError, JsErrorKind};
 
 /// A lexical token, tagged with its 1-based source line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
-    pub line: u32,
+pub(crate) struct Token {
+    pub(crate) kind: TokenKind,
+    pub(crate) line: u32,
 }
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     Ident(String),
     Num(f64),
     Str(String),
@@ -22,7 +22,7 @@ pub enum TokenKind {
 
 /// Reserved words we recognize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Keyword {
+pub(crate) enum Keyword {
     Var,
     Function,
     If,
@@ -65,7 +65,7 @@ impl Keyword {
 
 /// Punctuation and operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Punct {
+pub(crate) enum Punct {
     LParen,
     RParen,
     LBrace,
@@ -103,7 +103,7 @@ pub enum Punct {
 }
 
 /// Lexes `src` into a token vector (terminated by `Eof`).
-pub fn lex(src: &str) -> Result<Vec<Token>, JsError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>, JsError> {
     let bytes = src.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;

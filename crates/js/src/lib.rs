@@ -4,7 +4,8 @@
 //! Rhino engine the original *AJAX Crawl* thesis embedded. It supports the
 //! language features 2008-era AJAX page scripts use:
 //!
-//! * `var` declarations, assignments (incl. `+=`), global + function scopes,
+//! * `var` declarations, assignments (incl. `+=`), global + function scopes
+//!   (one scope rule, applied once by the parser: `resolve.rs`),
 //! * numbers (f64), strings (with `+` concatenation), booleans, `null`,
 //!   `undefined`,
 //! * `if`/`else`, `while`, `for`, `break`, `continue`, `return`, blocks,
@@ -29,26 +30,25 @@
 //! against infinite loops, §3.2). The step counter doubles as the virtual
 //! CPU-cost measure used by the crawl-time experiments.
 
-pub mod absdom;
+mod absdom;
 pub mod ast;
 pub mod callgraph;
-pub mod debug;
+mod debug;
 pub mod effects;
-pub mod error;
-pub mod host;
-pub mod interp;
-pub mod lexer;
-pub mod parser;
-pub mod value;
+mod error;
+mod host;
+mod interp;
+mod lexer;
+mod parser;
+mod resolve;
+mod value;
 
 pub use absdom::{AbsLoc, LocSet};
-pub use callgraph::{FunctionNode, InvocationGraph, Redefinition};
+pub use callgraph::InvocationGraph;
 pub use debug::{DebugHook, EnterAction, NoopHook};
-pub use effects::{
-    Diagnostic, EffectAnalysis, EffectSummary, Lint, LocalEffects, Severity, ValueSource, XhrClass,
-};
+pub use effects::{EffectAnalysis, EffectSummary};
 pub use error::{JsError, JsErrorKind};
 pub use host::{Host, HostCtx, NullHost, ObjId};
 pub use interp::{FrameInfo, GlobalsSnapshot, Interpreter};
-pub use parser::parse_program;
+pub use parser::{parse_program, MAX_NESTING};
 pub use value::Value;

@@ -3,6 +3,7 @@
 use crate::ast::*;
 use crate::error::{JsError, JsErrorKind};
 use crate::lexer::{lex, Keyword, Punct, Token, TokenKind};
+use crate::resolve::resolve_function;
 use std::rc::Rc;
 
 /// How deep a program may nest: the bound on the parser's own recursion
@@ -16,7 +17,8 @@ use std::rc::Rc;
 /// crawl worker (and of a test thread) with room to spare.
 pub const MAX_NESTING: usize = 64;
 
-/// Parses a full program (script body or event-handler snippet).
+/// Parses a full program (script body or event-handler snippet), every
+/// name in it bound (`crate::resolve`).
 pub fn parse_program(src: &str) -> Result<Program, JsError> {
     let tokens = lex(src)?;
     let mut parser = Parser {
@@ -173,17 +175,21 @@ impl Parser {
                     } else {
                         None
                     };
-                    decls.push(Stmt::VarDecl { name, init, line });
+                    decls.push(Stmt::VarDecl {
+                        name,
+                        binding: Binding::Global,
+                        init,
+                        line,
+                    });
                     if !self.eat_punct(Punct::Comma) {
                         break;
                     }
                 }
                 self.eat_punct(Punct::Semi);
-                if decls.len() == 1 {
-                    Ok(decls.pop().expect("one decl"))
-                } else {
-                    Ok(Stmt::Block(decls))
-                }
+                Ok(match <[Stmt; 1]>::try_from(decls) {
+                    Ok([decl]) => decl,
+                    Err(decls) => Stmt::Block(decls),
+                })
             }
             TokenKind::Keyword(Keyword::Function) => {
                 self.advance();
@@ -200,11 +206,13 @@ impl Parser {
                     self.expect_punct(Punct::RParen)?;
                 }
                 self.expect_punct(Punct::LBrace)?;
-                let body = self.block_body()?;
+                let mut body = self.block_body()?;
+                let frame = resolve_function(&params, &mut body);
                 Ok(Stmt::Function(Rc::new(FunctionDecl {
                     name,
                     params,
                     body,
+                    frame,
                     line,
                 })))
             }
@@ -349,7 +357,7 @@ impl Parser {
             self.advance();
             let value = self.right_operand(Self::assignment)?;
             let target = match lhs {
-                Expr::Ident { name, .. } => AssignTarget::Ident(name),
+                Expr::Ident { name, binding, .. } => AssignTarget::Ident { name, binding },
                 Expr::Member { object, prop } => AssignTarget::Member { object, prop },
                 Expr::Index { object, index } => AssignTarget::Index { object, index },
                 _ => {
@@ -573,7 +581,7 @@ impl Parser {
                 let line = self.line();
                 self.advance();
                 let target = match expr {
-                    Expr::Ident { name, .. } => AssignTarget::Ident(name),
+                    Expr::Ident { name, binding, .. } => AssignTarget::Ident { name, binding },
                     Expr::Member { object, prop } => AssignTarget::Member { object, prop },
                     Expr::Index { object, index } => AssignTarget::Index { object, index },
                     _ => {
@@ -695,7 +703,11 @@ impl Parser {
                         line,
                     })
                 } else {
-                    Ok(Expr::Ident { name, line })
+                    Ok(Expr::Ident {
+                        name,
+                        binding: Binding::Global,
+                        line,
+                    })
                 }
             }
             other => Err(JsError::at(

@@ -29,12 +29,12 @@ impl Value {
     }
 
     /// Builds an array value.
-    pub fn array(items: Vec<Value>) -> Self {
+    pub(crate) fn array(items: Vec<Value>) -> Self {
         Value::Array(Rc::new(RefCell::new(items)))
     }
 
     /// Builds an object value.
-    pub fn dict(entries: Vec<(String, Value)>) -> Self {
+    pub(crate) fn dict(entries: Vec<(String, Value)>) -> Self {
         Value::Dict(Rc::new(RefCell::new(entries.into_iter().collect())))
     }
 
@@ -42,7 +42,7 @@ impl Value {
     /// mutation (required by the crawler's rollback: arrays and dicts have
     /// reference semantics during execution, but a snapshot must freeze
     /// them).
-    pub fn deep_clone(&self) -> Value {
+    pub(crate) fn deep_clone(&self) -> Value {
         match self {
             Value::Array(items) => {
                 Value::array(items.borrow().iter().map(Value::deep_clone).collect())
@@ -59,7 +59,7 @@ impl Value {
     }
 
     /// JavaScript truthiness.
-    pub fn truthy(&self) -> bool {
+    pub(crate) fn truthy(&self) -> bool {
         match self {
             Value::Undefined | Value::Null => false,
             Value::Bool(b) => *b,
@@ -70,7 +70,7 @@ impl Value {
     }
 
     /// `ToNumber` coercion.
-    pub fn to_number(&self) -> f64 {
+    pub(crate) fn to_number(&self) -> f64 {
         match self {
             Value::Undefined => f64::NAN,
             Value::Null => 0.0,
@@ -128,7 +128,7 @@ impl Value {
     /// strings quoted, everything else as `to_string_value`. Used to build the
     /// thesis' `StackInfo` hot-node keys, where `f("a", 2)` and `f("a2")` must
     /// be distinguishable.
-    pub fn render_arg(&self) -> String {
+    pub(crate) fn render_arg(&self) -> String {
         match self {
             Value::Str(s) => format!("{s:?}"),
             other => other.to_string_value(),
@@ -136,7 +136,7 @@ impl Value {
     }
 
     /// The `typeof` operator.
-    pub fn type_of(&self) -> &'static str {
+    pub(crate) fn type_of(&self) -> &'static str {
         match self {
             Value::Undefined => "undefined",
             Value::Null => "object", // Faithful JS quirk.
@@ -149,7 +149,7 @@ impl Value {
 
     /// Loose equality (`==`) for the subset: numeric comparison when either
     /// side is a number, string comparison for strings, identity for objects.
-    pub fn loose_eq(&self, other: &Value) -> bool {
+    pub(crate) fn loose_eq(&self, other: &Value) -> bool {
         use Value::*;
         match (self, other) {
             (Undefined | Null, Undefined | Null) => true,
@@ -167,7 +167,7 @@ impl Value {
     }
 
     /// Strict equality (`===`).
-    pub fn strict_eq(&self, other: &Value) -> bool {
+    pub(crate) fn strict_eq(&self, other: &Value) -> bool {
         use Value::*;
         match (self, other) {
             (Undefined, Undefined) | (Null, Null) => true,
@@ -184,7 +184,7 @@ impl Value {
 
 /// JS-style number formatting: `3` not `3.0`, `0.5` stays `0.5`, NaN and
 /// infinities spelled like JS.
-pub fn format_number(n: f64) -> String {
+pub(crate) fn format_number(n: f64) -> String {
     if n.is_nan() {
         return "NaN".into();
     }

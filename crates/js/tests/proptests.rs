@@ -134,3 +134,59 @@ proptest! {
         prop_assert!(interp.steps() <= fuel + 2);
     }
 }
+
+/// `f(n)` recursing from the bottom of `k` nested parentheses:
+/// `return (1 + (1 + … f(n - 1) …));`.
+fn recursion_under_parens(k: usize) -> String {
+    format!(
+        "function f(n) {{ if (n < 1) {{ return 0; }} return {}f(n - 1){}; }}",
+        "(1 + ".repeat(k),
+        ")".repeat(k)
+    )
+}
+
+/// Call depth and parse nesting are each bounded, and so is their product:
+/// on a thread with the 2 MiB stack of a crawl worker or a test, every
+/// nesting the parser accepts recurses into a typed error, never into the
+/// guard page.
+#[test]
+fn nested_recursion_is_a_typed_error_not_a_stack_overflow() {
+    let outcomes = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            (0..ajax_js::MAX_NESTING)
+                .map(|k| {
+                    let mut interp = Interpreter::new();
+                    interp.load_program(
+                        &recursion_under_parens(k),
+                        &mut NullHost,
+                        &mut NoopHook,
+                    )?;
+                    Ok(interp.eval("f(200)", &mut NullHost, &mut NoopHook).err())
+                })
+                .collect::<Vec<Result<_, ajax_js::JsError>>>()
+        })
+        .expect("spawn")
+        .join()
+        .expect("no panic");
+    for (k, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(err) => {
+                let err = err.expect("200 calls are deeper than the call depth");
+                assert_eq!(
+                    err.kind,
+                    ajax_js::JsErrorKind::StackOverflow,
+                    "k = {k}: {err}"
+                );
+            }
+            // The function and its statements take a few levels of their own.
+            Err(e) => assert!(
+                e.message.contains("nesting deeper") && k > ajax_js::MAX_NESTING - 8,
+                "k = {k}: {e}"
+            ),
+        }
+    }
+    // Plain recursion still stops at the call depth.
+    let err = eval("function f(n) { return f(n + 1); } f(0)").unwrap_err();
+    assert!(err.message.contains("call depth exceeded 100"), "{err}");
+}

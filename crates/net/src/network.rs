@@ -74,36 +74,6 @@ impl NetClient {
         self.faults.as_ref()
     }
 
-    /// Fetches `url`, advancing the virtual clock by the request's cost.
-    /// Injected transport faults surface as synthetic non-2xx responses
-    /// (598 timeout, 597 dropped) for callers that predate the fallible API.
-    pub fn fetch(&mut self, url: &Url) -> Response {
-        self.fetch_timed(url).0
-    }
-
-    /// Like [`Self::fetch`], also returning the request's virtual cost (used
-    /// by callers that record CPU/network traces for the parallel scheduler).
-    pub fn fetch_timed(&mut self, url: &Url) -> (Response, Micros) {
-        match self.try_fetch_timed(url) {
-            Ok(pair) => pair,
-            Err(e) => {
-                let status = match &e {
-                    NetError::Timeout { .. } => 598,
-                    NetError::Dropped { .. } => 597,
-                };
-                let cost = e.cost();
-                (
-                    Response {
-                        status,
-                        content_type: "text/plain".into(),
-                        body: e.to_string(),
-                    },
-                    cost,
-                )
-            }
-        }
-    }
-
     /// The fallible fetch: consults the fault plan (if any) and either
     /// performs the request, returns an injected HTTP error response, or
     /// fails at the transport level with a [`NetError`]. All outcomes charge
@@ -242,11 +212,19 @@ mod tests {
         NetClient::new(server, latency)
     }
 
+    /// A fetch no fault plan interferes with.
+    fn fetch(c: &mut NetClient, path: &str) -> Response {
+        match c.try_fetch_timed(&Url::parse(path)) {
+            Ok((response, _)) => response,
+            Err(e) => panic!("no fault is planned: {e}"),
+        }
+    }
+
     #[test]
     fn fetch_accounts_time_and_bytes() {
         let mut c = client(LatencyModel::Fixed(1_000));
-        let r1 = c.fetch(&Url::parse("/a"));
-        let r2 = c.fetch(&Url::parse("/bb"));
+        let r1 = fetch(&mut c, "/a");
+        let r2 = fetch(&mut c, "/bb");
         assert!(r1.body.contains("/a"));
         assert_eq!(c.stats().requests, 2);
         assert_eq!(c.stats().bytes, (r1.len() + r2.len()) as u64);
@@ -257,7 +235,7 @@ mod tests {
     #[test]
     fn cpu_charges_clock_not_network_stats() {
         let mut c = client(LatencyModel::Fixed(100));
-        c.fetch(&Url::parse("/a"));
+        fetch(&mut c, "/a");
         c.charge_cpu(50);
         assert_eq!(c.now(), 150);
         assert_eq!(c.stats().network_micros, 100);
@@ -266,7 +244,7 @@ mod tests {
     #[test]
     fn wait_charges_clock_separately() {
         let mut c = client(LatencyModel::Fixed(100));
-        c.fetch(&Url::parse("/a"));
+        fetch(&mut c, "/a");
         c.charge_wait(40);
         assert_eq!(c.now(), 140);
         assert_eq!(c.stats().network_micros, 100);
@@ -276,7 +254,7 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut c = client(LatencyModel::Fixed(100));
-        c.fetch(&Url::parse("/a"));
+        fetch(&mut c, "/a");
         c.reset();
         assert_eq!(c.now(), 0);
         assert_eq!(c.stats(), &NetStats::default());
@@ -318,17 +296,6 @@ mod tests {
         assert_eq!(c.try_fetch_timed(&url).unwrap().0.status, 503);
         assert_eq!(c.try_fetch_timed(&url).unwrap().0.status, 503);
         assert!(c.try_fetch_timed(&url).unwrap().0.is_ok(), "3rd attempt ok");
-    }
-
-    #[test]
-    fn legacy_fetch_maps_transport_faults_to_synthetic_statuses() {
-        let plan = FaultPlan::new(1)
-            .with_rule(FaultRule::any(1.0, Fault::Timeout))
-            .with_timeout_micros(1_000);
-        let mut c = client(LatencyModel::Zero).with_fault_plan(plan);
-        let resp = c.fetch(&Url::parse("/a"));
-        assert_eq!(resp.status, 598);
-        assert!(!resp.is_ok());
     }
 
     #[test]
