@@ -66,7 +66,7 @@
 //! `pos_len`s add up to its S5 window. A record naming a page past the end
 //! of S7 opens cleanly and panics at the first query that reaches it.
 //! Walking every run at open would catch it, at several times the open cost
-//! (ROADMAP item 5).
+//! (ROADMAP item 3).
 
 use crate::dict::TermId;
 use crate::invert::{DocKey, IndexBuildError, InvertedIndex, OwnedStore, PageEntry};
@@ -86,6 +86,21 @@ const SECTION_COUNT: usize = 8;
 const PREFIX_LEN: usize = HEADER_LEN + SECTION_COUNT * 16;
 
 // ---------------------------------------------------------------- primitives
+
+/// The little-endian integer in the `width` bytes of `bytes` at `at`, or
+/// `None` when they run past the end. Reads the header and section table.
+fn le_at(bytes: &[u8], at: usize, width: usize) -> Option<u64> {
+    let field = bytes.get(at..at.checked_add(width)?)?;
+    Some(field.iter().rev().fold(0, |v, &b| v << 8 | u64::from(b)))
+}
+
+/// The last char boundary at or before `i` in valid UTF-8 `s`.
+fn floor_char_boundary(s: &[u8], mut i: usize) -> usize {
+    while i > 0 && s.get(i).is_some_and(|&b| b & 0xC0 == 0x80) {
+        i -= 1;
+    }
+    i
+}
 
 /// The `idx`-th little-endian `u32` of an (unaligned) byte column.
 #[inline]
@@ -620,6 +635,11 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn varint(&mut self) -> Result<u64, String> {
+        // Nearly every length and lcp in a segment fits one byte.
+        if let Some(&b) = self.bytes.get(self.cur).filter(|&&b| b < 0x80) {
+            self.cur += 1;
+            return Ok(u64::from(b));
+        }
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -651,8 +671,9 @@ impl<'a> Reader<'a> {
     }
 
     fn f64(&mut self) -> Result<f64, String> {
-        let b = self.take(8)?;
-        Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
+        let bits = le_at(self.bytes, self.cur, 8).ok_or("truncated byte run in segment")?;
+        self.cur += 8;
+        Ok(f64::from_bits(bits))
     }
 }
 
@@ -662,20 +683,24 @@ impl<'a> Reader<'a> {
 /// human-readable details for `PersistError::Corrupt`.
 pub(crate) fn open(frame: Arc<MappedFrame>) -> Result<InvertedIndex, String> {
     let payload = frame.payload();
-    if payload.len() < PREFIX_LEN {
-        return Err(format!(
+    let too_short = || {
+        format!(
             "segment too short: {} bytes, header+table need {PREFIX_LEN}",
             payload.len()
-        ));
+        )
+    };
+    if payload.len() < PREFIX_LEN {
+        return Err(too_short());
     }
     if payload[..8] != SEGMENT_MAGIC {
         return Err("bad segment magic".to_string());
     }
-    let n_terms = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes")) as usize;
-    let n_postings = u32::from_le_bytes(payload[12..16].try_into().expect("4 bytes")) as usize;
-    let n_pages = u32::from_le_bytes(payload[16..20].try_into().expect("4 bytes")) as usize;
-    let block = u32::from_le_bytes(payload[20..24].try_into().expect("4 bytes")) as usize;
-    let total_states = u64::from_le_bytes(payload[24..32].try_into().expect("8 bytes"));
+    let field = |at: usize, width: usize| le_at(payload, at, width).ok_or_else(too_short);
+    let n_terms = field(8, 4)? as usize;
+    let n_postings = field(12, 4)? as usize;
+    let n_pages = field(16, 4)? as usize;
+    let block = field(20, 4)? as usize;
+    let total_states = field(24, 8)?;
     if block == 0 {
         return Err("zero dictionary block size".to_string());
     }
@@ -683,8 +708,8 @@ pub(crate) fn open(frame: Arc<MappedFrame>) -> Result<InvertedIndex, String> {
     let mut secs: Vec<Range<usize>> = Vec::with_capacity(SECTION_COUNT);
     for i in 0..SECTION_COUNT {
         let at = HEADER_LEN + i * 16;
-        let off = u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(payload[at + 8..at + 16].try_into().expect("8 bytes"));
+        let off = field(at, 8)?;
+        let len = field(at + 8, 8)?;
         let end = off.checked_add(len).filter(|&e| e <= payload.len() as u64);
         let (Ok(off), Some(_)) = (usize::try_from(off), end) else {
             return Err(format!("section {i} out of bounds"));
@@ -727,50 +752,68 @@ pub(crate) fn open(frame: Arc<MappedFrame>) -> Result<InvertedIndex, String> {
     sentinel(5, n_terms, secs[6].len(), "term_pos")?;
 
     // Monotone offsets: a decreasing bound would make a later slice panic at
-    // query time; reject it here instead. One pass over small fixed columns.
+    // query time; reject it here instead. One pass over each fixed column.
     for (col, what) in [
         (0usize, "term_offsets"),
         (1, "run_offsets"),
         (2, "dict_blocks"),
         (5, "term_pos"),
     ] {
-        let s = &payload[secs[col].clone()];
-        let n = s.len() / 4;
-        for i in 1..n {
-            if u32_at(s, i) < u32_at(s, i - 1) {
+        let mut prev = 0u32;
+        for (i, w) in payload[secs[col].clone()].chunks_exact(4).enumerate() {
+            let v = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            if v < prev {
                 return Err(format!("{what} not monotone at {i}"));
             }
+            prev = v;
         }
     }
 
-    // Walk every dictionary block once: bounds-check the front coding,
-    // reconstruct each term incrementally and validate it is UTF-8, so the
-    // query-time decoder and `decode_term` can trust the bytes.
+    // Walk every dictionary block once: bounds-check the front coding and
+    // validate that every term is UTF-8, so the query-time decoder and
+    // `decode_term` can trust the bytes. When the whole section is ASCII,
+    // every head and suffix is valid UTF-8 (and every varint one byte), so
+    // only the lengths are walked. Otherwise each term is reconstructed: a
+    // follower keeps the previous (valid) term's bytes up to its lcp `l`;
+    // those up to the last char boundary at or before `l` are valid UTF-8
+    // ending on a boundary, so the term is valid exactly when the bytes
+    // after it are. (`l` may split a char: the bytewise lcp of "é" and "è"
+    // does.)
     {
         let data = &payload[secs[3].clone()];
         let table = &payload[secs[2].clone()];
+        let ascii = data.is_ascii();
         let mut term = Vec::new();
         for b in 0..blocks {
             let mut r = Reader {
                 bytes: data,
                 cur: u32_at(table, b) as usize,
             };
-            let head_len = r.varint()? as usize;
-            term.clear();
-            term.extend_from_slice(r.take(head_len)?);
-            if std::str::from_utf8(&term).is_err() {
-                return Err(format!("dictionary block {b} head is not valid UTF-8"));
+            let mut len = r.varint()? as usize;
+            let head = r.take(len)?;
+            if !ascii {
+                if std::str::from_utf8(head).is_err() {
+                    return Err(format!("dictionary block {b} head is not valid UTF-8"));
+                }
+                term.clear();
+                term.extend_from_slice(head);
             }
             let in_block = (n_terms - b * block).min(block);
             for _ in 1..in_block {
                 let l = r.varint()? as usize;
-                if l > term.len() {
+                if l > len {
                     return Err("front-coded lcp exceeds previous term".to_string());
                 }
                 let slen = r.varint()? as usize;
+                let suffix = r.take(slen)?;
+                len = l + slen;
+                if ascii {
+                    continue;
+                }
+                let start = floor_char_boundary(&term, l);
                 term.truncate(l);
-                term.extend_from_slice(r.take(slen)?);
-                if std::str::from_utf8(&term).is_err() {
+                term.extend_from_slice(suffix);
+                if std::str::from_utf8(&term[start..]).is_err() {
                     return Err(format!("dictionary block {b} term is not valid UTF-8"));
                 }
             }
