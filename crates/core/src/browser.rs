@@ -9,12 +9,12 @@ use crate::hotnode::HotNodeCache;
 use ajax_dom::hash::FnvHashMap;
 use ajax_dom::{Document, Fragment, NodeId, NormalizedView};
 use ajax_js::ast::Program;
-use ajax_js::{DebugHook, GlobalsSnapshot, Host, HostCtx, Interpreter, JsError, ObjId, Value};
+use ajax_js::{GlobalsSnapshot, Host, HostCtx, Interpreter, JsError, ObjId, Value};
 use ajax_net::fault::NetError;
 use ajax_net::sched::Segment;
 use ajax_net::{Micros, NetClient, Url};
 use ajax_obs::{AttrValue, Recorder};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -201,8 +201,8 @@ enum HostObj {
 
 /// The `ajax_js::Host` implementation giving page scripts their `document`
 /// and `XMLHttpRequest`. Its `send()` implements Step 3 of the heuristic
-/// policy (§4.2): intercept, look up the hot-node cache by the topmost stack
-/// frame's `(function, args)`, and only go to the network on a miss.
+/// policy (§4.2): intercept, look up the hot-node cache by the URL the
+/// request fetches, and only go to the network on a miss.
 struct PageHost<'a, 'b> {
     doc: &'a mut Document,
     fragments: &'a mut FragmentMemo,
@@ -252,17 +252,16 @@ impl<'a, 'b> PageHost<'a, 'b> {
             _ => return Err(JsError::type_error("send() on a non-XHR object")),
         };
 
-        // StackInfo: the topmost user function is the hot node; its rendered
-        // actual arguments complete the cache key (thesis §4.4.1).
-        let (function, key) = match ctx.top_frame() {
-            Some(frame) => (frame.function.clone(), frame.key()),
-            None => ("<inline>".to_string(), format!("<inline>({url})")),
-        };
+        // StackInfo: the topmost user function is the hot node (thesis
+        // §4.4.1). The request is keyed by its URL, the whole of what this
+        // host sends (`hotnode.rs` says why not by the function's arguments).
+        let function = ctx.top_function().unwrap_or("<inline>");
+        let key = url.to_string();
 
         let cached = self
             .env
             .caching_enabled
-            .then(|| self.env.cache.lookup(&key))
+            .then(|| self.env.cache.lookup(function, &key))
             .flatten();
         let (status, body) = if let Some(cached) = cached {
             self.outcome.cache_hits += 1;
@@ -272,7 +271,7 @@ impl<'a, 'b> PageHost<'a, 'b> {
                     "hotnode.hit",
                     now,
                     now,
-                    vec![("function", AttrValue::str(&function))],
+                    vec![("function", AttrValue::str(function))],
                 );
             }
             (200, cached)
@@ -284,9 +283,7 @@ impl<'a, 'b> PageHost<'a, 'b> {
             let (status, body) = match self.env.fetch_with_retry(&url) {
                 Ok((resp, _attempts)) => {
                     if self.env.caching_enabled {
-                        self.env
-                            .cache
-                            .insert(&function, key, url.to_string(), resp.body.clone());
+                        self.env.cache.insert(function, key, resp.body.clone());
                     } else {
                         self.env.cache.record_uncached_call();
                     }
@@ -342,12 +339,7 @@ impl Host for PageHost<'_, '_> {
         (name == "document").then_some(Value::Object(ObjId(DOC_OBJ)))
     }
 
-    fn construct(
-        &mut self,
-        class: &str,
-        _args: &[Value],
-        _ctx: &HostCtx<'_>,
-    ) -> Result<Value, JsError> {
+    fn construct(&mut self, class: &str, _args: &[Value]) -> Result<Value, JsError> {
         match class {
             "XMLHttpRequest" => Ok(Value::Object(self.alloc(HostObj::Xhr {
                 url: None,
@@ -445,13 +437,7 @@ impl Host for PageHost<'_, '_> {
         }
     }
 
-    fn set_property(
-        &mut self,
-        obj: ObjId,
-        prop: &str,
-        value: Value,
-        _ctx: &HostCtx<'_>,
-    ) -> Result<(), JsError> {
+    fn set_property(&mut self, obj: ObjId, prop: &str, value: Value) -> Result<(), JsError> {
         match (self.objects.get(&obj.0), prop) {
             (Some(HostObj::Element(node)), "innerHTML") => {
                 let node = *node;
@@ -622,13 +608,10 @@ impl Browser {
         outcome: &mut EventOutcome,
     ) -> Result<(), JsError> {
         let steps_before = self.interp.steps();
-        // The on-enter hot-node detector (§4.4.2): instrumentation that
-        // recognizes frames whose function is a known hot node.
-        let mut hook = HotEnterDetector::from_cache(env.cache);
         let mut host = PageHost::new(&mut self.doc, &mut self.fragments, &self.url, env, outcome);
         let result = match code {
-            Code::Program(program) => self.interp.run_program(program, &mut host, &mut hook),
-            Code::Snippet(src) => self.interp.eval(src, &mut host, &mut hook).map(|_| ()),
+            Code::Program(program) => self.interp.run_program(program, &mut host),
+            Code::Snippet(src) => self.interp.eval(src, &mut host).map(|_| ()),
         };
         let steps = self.interp.steps() - steps_before;
         outcome.js_steps += steps;
@@ -706,33 +689,4 @@ impl Browser {
 enum Code<'a> {
     Program(&'a Program),
     Snippet(&'a str),
-}
-
-/// The `DebugFrameImpl.onEnter` analogue: notices when execution enters a
-/// function already identified as a hot node (the early-detection path of
-/// §4.4.2). Purely observational — interception happens at `send()`.
-pub(crate) struct HotEnterDetector {
-    hot_functions: Arc<HashSet<String>>,
-    /// Number of entries into known hot nodes observed.
-    pub detections: u32,
-}
-
-impl HotEnterDetector {
-    /// Builds a detector over the cache's hot-function registry as it
-    /// stands now (functions that turn hot during the run are not seen).
-    pub(crate) fn from_cache(cache: &HotNodeCache) -> Self {
-        Self {
-            hot_functions: Arc::clone(cache.hot_functions()),
-            detections: 0,
-        }
-    }
-}
-
-impl DebugHook for HotEnterDetector {
-    fn on_enter(&mut self, frame: &ajax_js::FrameInfo) -> ajax_js::EnterAction {
-        if self.hot_functions.contains(&frame.function) {
-            self.detections += 1;
-        }
-        ajax_js::EnterAction::Continue
-    }
 }

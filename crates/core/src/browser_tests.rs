@@ -104,11 +104,11 @@ fn hot_node_cache_serves_second_call() {
         assert_eq!(
             (second.network_calls, second.cache_hits),
             (0, 1),
-            "same (function, args) key must hit the cache"
+            "the same URL must hit the cache"
         );
         let third = browser.fire_event("go(2)", env);
         assert_eq!((third.network_calls, third.cache_hits), (1, 0));
-        assert!(env.cache.hot_functions().contains("go"));
+        assert!(env.cache.stats().hot_functions.contains("go"));
     });
 }
 

@@ -8,7 +8,7 @@
 //!   rollback and duplicate detection by content hash, every AJAX call going
 //!   to the network.
 //! * **Heuristic AJAX** (Alg. 4.2.1) — same, plus the hot-node cache
-//!   intercepting repeated `(function, args)` server calls.
+//!   intercepting repeated server calls, keyed by URL (`hotnode.rs`).
 
 use crate::analysis::ParsedPage;
 use crate::browser::{Browser, BrowserSnapshot, CrawlEnv};

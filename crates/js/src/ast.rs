@@ -40,7 +40,6 @@ pub enum Stmt {
         name: String,
         binding: Binding,
         init: Option<Expr>,
-        line: u32,
     },
     /// A bare expression statement.
     Expr(Expr),
@@ -165,7 +164,7 @@ pub enum Expr {
         target: AssignTarget,
         inc: bool,
     },
-    /// `f(args)` — a user function or a native global.
+    /// `f(args)` — a user function or a builtin global.
     Call {
         callee: String,
         args: Vec<Expr>,

@@ -109,7 +109,7 @@ pub struct LocalEffects {
 /// How a function's outgoing XHR URLs are formed — a static prediction of
 /// hot-node cache hitability. Constant URLs re-hit the crawler's hot-node
 /// cache on every invocation; parameter-derived URLs re-hit whenever the
-/// handler fires with the same rendered arguments; dynamic URLs (derived
+/// handler's arguments build a URL already fetched; dynamic URLs (derived
 /// from mutable globals or computed state) may never re-hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum XhrClass {
@@ -117,7 +117,7 @@ pub(crate) enum XhrClass {
     None,
     /// All reachable XHR URLs are compile-time constants.
     Constant,
-    /// URLs flow in through parameters (cacheable per argument tuple).
+    /// URLs flow in through parameters (cacheable per distinct URL).
     ParamDerived,
     /// At least one URL is computed from non-constant state.
     Dynamic,
@@ -230,8 +230,8 @@ impl EffectSummary {
     }
 
     /// Classifies the reachable XHR traffic for cache-hitability. URL
-    /// templates (constant prefix + parameter tail) re-hit per rendered
-    /// argument tuple, exactly like verbatim parameter URLs.
+    /// templates (constant prefix + parameter tail) re-hit per distinct
+    /// URL, exactly like verbatim parameter URLs.
     pub(crate) fn xhr_class(&self) -> XhrClass {
         if self.xhr_dynamic {
             XhrClass::Dynamic

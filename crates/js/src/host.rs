@@ -2,33 +2,33 @@
 //!
 //! The interpreter is deliberately ignorant of DOM, network or timers — all
 //! of those come from the embedder (the crawler) through the [`Host`] trait.
-//! The interpreter hands every host call a [`HostCtx`] exposing the current
-//! JavaScript call stack, which is what the hot-node mechanism (thesis ch. 4)
-//! inspects: when the `XMLHttpRequest` host object is asked to `send()`, it
-//! reads the topmost user frame (function name + rendered actual arguments)
-//! and uses it as the hot-node cache key.
+//! A method call on a host object also receives a [`HostCtx`] naming the
+//! innermost executing user function: when the `XMLHttpRequest` host object
+//! is asked to `send()`, that function is the hot node of the thesis (ch. 4).
+//! The hot-node cache itself is keyed by the URL the request fetches, not by
+//! the function's actual arguments as in the thesis' `StackInfo`: a server is
+//! a pure function of the request, and a URL built from a global is not
+//! determined by the arguments.
 
 use crate::error::JsError;
-use crate::interp::FrameInfo;
 use crate::value::Value;
 
 /// Identifier of a host-managed object (an XHR instance, a DOM element…).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjId(pub u32);
 
-/// Context passed to every host call.
+/// Context passed to a host method call.
 #[derive(Debug)]
 pub struct HostCtx<'a> {
-    /// The interpreter call stack, innermost frame last. Event-handler
-    /// snippets executing at top level have an empty stack.
-    pub(crate) stack: &'a [FrameInfo],
+    /// The innermost executing user function. Event-handler snippets
+    /// executing at top level have none.
+    pub(crate) function: Option<&'a str>,
 }
 
 impl HostCtx<'_> {
-    /// The topmost (currently executing) user function frame, if any —
-    /// the thesis' `StackInfo.getHotNodeInfo()`.
-    pub fn top_frame(&self) -> Option<&FrameInfo> {
-        self.stack.last()
+    /// The name of the innermost executing user function, if any.
+    pub fn top_function(&self) -> Option<&str> {
+        self.function
     }
 }
 
@@ -37,32 +37,9 @@ impl HostCtx<'_> {
 /// All methods have reasonable defaults (errors / `Undefined`), so hosts only
 /// implement what their pages need.
 pub trait Host {
-    /// Invokes a native global function, e.g. `urchinTracker(...)`.
-    fn call_native(
-        &mut self,
-        name: &str,
-        args: &[Value],
-        ctx: &HostCtx<'_>,
-    ) -> Result<Value, JsError> {
-        let _ = (args, ctx);
-        Err(JsError::reference(format!("{name} is not defined")))
-    }
-
-    /// True when `name` is a native global this host provides. Used by the
-    /// interpreter to route calls: user functions shadow natives.
-    fn has_native(&self, name: &str) -> bool {
-        let _ = name;
-        false
-    }
-
     /// Constructs a host object, e.g. `new XMLHttpRequest()`.
-    fn construct(
-        &mut self,
-        class: &str,
-        args: &[Value],
-        ctx: &HostCtx<'_>,
-    ) -> Result<Value, JsError> {
-        let _ = (args, ctx);
+    fn construct(&mut self, class: &str, args: &[Value]) -> Result<Value, JsError> {
+        let _ = args;
         Err(JsError::reference(format!("{class} is not a constructor")))
     }
 
@@ -86,14 +63,8 @@ pub trait Host {
     }
 
     /// Writes a property of a host object, e.g. `el.innerHTML = "..."`.
-    fn set_property(
-        &mut self,
-        obj: ObjId,
-        prop: &str,
-        value: Value,
-        ctx: &HostCtx<'_>,
-    ) -> Result<(), JsError> {
-        let _ = (obj, value, ctx);
+    fn set_property(&mut self, obj: ObjId, prop: &str, value: Value) -> Result<(), JsError> {
+        let _ = (obj, value);
         Err(JsError::type_error(format!("cannot set property {prop}")))
     }
 
@@ -119,13 +90,11 @@ mod tests {
     #[test]
     fn null_host_rejects_everything() {
         let mut h = NullHost;
-        let ctx = HostCtx { stack: &[] };
-        assert!(h.call_native("f", &[], &ctx).is_err());
-        assert!(h.construct("C", &[], &ctx).is_err());
+        let ctx = HostCtx { function: None };
+        assert!(h.construct("C", &[]).is_err());
         assert!(h.call_method(ObjId(0), "m", &[], &ctx).is_err());
         assert_eq!(h.get_property(ObjId(0), "p").unwrap(), Value::Undefined);
-        assert!(h.set_property(ObjId(0), "p", Value::Null, &ctx).is_err());
+        assert!(h.set_property(ObjId(0), "p", Value::Null).is_err());
         assert!(h.get_global("document").is_none());
-        assert!(!h.has_native("f"));
     }
 }

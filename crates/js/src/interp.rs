@@ -1,7 +1,6 @@
 //! The AST-walking interpreter.
 
 use crate::ast::*;
-use crate::debug::{DebugHook, EnterAction};
 use crate::error::{JsError, JsErrorKind};
 use crate::host::{Host, HostCtx};
 use crate::parser::parse_program;
@@ -54,24 +53,6 @@ const LEVEL_BYTES: LevelBytes = LevelBytes {
     call: 512,
 };
 
-/// A call-stack frame as exposed to hosts and debug hooks: the function name
-/// plus its actual arguments rendered to source-ish text — the thesis'
-/// `StackInfo` payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameInfo {
-    pub function: String,
-    /// e.g. `"/comments?v=3&p=2", true`
-    pub(crate) rendered_args: String,
-    pub(crate) line: u32,
-}
-
-impl FrameInfo {
-    /// The `function(args)` key used for hot-node cache lookups.
-    pub fn key(&self) -> String {
-        format!("{}({})", self.function, self.rendered_args)
-    }
-}
-
 /// A snapshot of interpreter global state, used by the crawler's rollback.
 #[derive(Debug, Clone)]
 pub struct GlobalsSnapshot {
@@ -87,10 +68,10 @@ enum Flow {
     Return(Value),
 }
 
-/// Bundles the two embedder-provided capabilities threaded through execution.
+/// The embedder's host, threaded through execution behind one thin
+/// pointer: each level of the recursion passes it on.
 struct Run<'a> {
     host: &'a mut dyn Host,
-    hook: &'a mut dyn DebugHook,
 }
 
 /// The interpreter. One instance per loaded page; globals persist across
@@ -107,8 +88,9 @@ pub struct Interpreter {
     slots: Vec<Value>,
     /// Where the innermost call's frame starts in `slots`.
     base: usize,
-    /// Introspectable call stack, one entry per frame in `slots`.
-    stack: Vec<FrameInfo>,
+    /// The functions of the active calls, one per frame in `slots`,
+    /// innermost last.
+    stack: Vec<Rc<FunctionDecl>>,
     steps: u64,
     fuel_limit: u64,
     max_depth: usize,
@@ -195,23 +177,13 @@ impl Interpreter {
 
     /// Parses `src`, hoists its function declarations and executes its
     /// top-level statements. This is the page-load path (`<script>` bodies).
-    pub fn load_program(
-        &mut self,
-        src: &str,
-        host: &mut dyn Host,
-        hook: &mut dyn DebugHook,
-    ) -> Result<(), JsError> {
-        self.run_program(&parse_program(src)?, host, hook)
+    pub fn load_program(&mut self, src: &str, host: &mut dyn Host) -> Result<(), JsError> {
+        self.run_program(&parse_program(src)?, host)
     }
 
     /// [`Self::load_program`] for a script the caller has already parsed.
-    pub fn run_program(
-        &mut self,
-        program: &Program,
-        host: &mut dyn Host,
-        hook: &mut dyn DebugHook,
-    ) -> Result<(), JsError> {
-        let mut run = Run { host, hook };
+    pub fn run_program(&mut self, program: &Program, host: &mut dyn Host) -> Result<(), JsError> {
+        let mut run = Run { host };
         // Hoist all function declarations (including nested-in-blocks ones at
         // the top level) before executing statements.
         self.hoist(&program.body);
@@ -229,12 +201,7 @@ impl Interpreter {
     /// attribute) and returns the value of its final expression statement.
     /// Each distinct `src` is parsed once per interpreter; a snippet that
     /// does not parse fails with the same error every time.
-    pub fn eval(
-        &mut self,
-        src: &str,
-        host: &mut dyn Host,
-        hook: &mut dyn DebugHook,
-    ) -> Result<Value, JsError> {
+    pub fn eval(&mut self, src: &str, host: &mut dyn Host) -> Result<Value, JsError> {
         let program = match self.snippets.get(src) {
             Some(parsed) => parsed.clone(),
             None => {
@@ -243,7 +210,7 @@ impl Interpreter {
                 parsed
             }
         }?;
-        let mut run = Run { host, hook };
+        let mut run = Run { host };
         self.hoist(&program.body);
         let mut last = Value::Undefined;
         for stmt in &program.body {
@@ -267,9 +234,8 @@ impl Interpreter {
         name: &str,
         args: Vec<Value>,
         host: &mut dyn Host,
-        hook: &mut dyn DebugHook,
     ) -> Result<Value, JsError> {
-        let mut run = Run { host, hook };
+        let mut run = Run { host };
         self.call_function(name, args, 0, &mut run)
     }
 
@@ -326,10 +292,6 @@ impl Interpreter {
         result
     }
 
-    fn current_function_name(&self) -> &str {
-        self.stack.last().map(|f| f.function.as_str()).unwrap_or("")
-    }
-
     // ---- statements ------------------------------------------------------
 
     fn exec_stmt(&mut self, stmt: &Stmt, run: &mut Run<'_>) -> Result<Flow, JsError> {
@@ -348,9 +310,7 @@ impl Interpreter {
                 name,
                 binding,
                 init,
-                line,
             } => {
-                run.hook.on_statement(self.current_function_name(), *line);
                 let value = match init {
                     Some(expr) => self.eval_expr(expr, run)?,
                     None => Value::Undefined,
@@ -600,7 +560,9 @@ impl Interpreter {
                     Value::Array(items) => array_method(&items, method, &arg_values, *line),
                     Value::Dict(entries) => dict_method(&entries, method, &arg_values, *line),
                     Value::Object(id) => {
-                        let ctx = HostCtx { stack: &self.stack };
+                        let ctx = HostCtx {
+                            function: self.stack.last().map(|decl| decl.name.as_str()),
+                        };
                         run.host.call_method(id, method, &arg_values, &ctx)
                     }
                     other => Err(JsError::at(
@@ -612,9 +574,8 @@ impl Interpreter {
             }
             Expr::New { class, args, line } => {
                 let arg_values = self.eval_args(args, run)?;
-                let ctx = HostCtx { stack: &self.stack };
                 run.host
-                    .construct(class, &arg_values, &ctx)
+                    .construct(class, &arg_values)
                     .map_err(|e| e_with_line(e, *line))
             }
         }
@@ -718,10 +679,7 @@ impl Interpreter {
             AssignTarget::Member { object, prop } => {
                 let obj = self.eval_expr(object, run)?;
                 match obj {
-                    Value::Object(id) => {
-                        let ctx = HostCtx { stack: &self.stack };
-                        run.host.set_property(id, prop, value, &ctx)
-                    }
+                    Value::Object(id) => run.host.set_property(id, prop, value),
                     Value::Dict(entries) => {
                         entries.borrow_mut().insert(prop.clone(), value);
                         Ok(())
@@ -770,16 +728,12 @@ impl Interpreter {
         line: u32,
         run: &mut Run<'_>,
     ) -> Result<Value, JsError> {
-        // User functions take precedence over natives (they shadow).
+        // User functions shadow builtins.
         if self.functions.contains_key(callee) {
             return self.call_function(callee, args, line, run);
         }
         if let Some(v) = builtin_global(callee, &args) {
             return Ok(v);
-        }
-        if run.host.has_native(callee) {
-            let ctx = HostCtx { stack: &self.stack };
-            return run.host.call_native(callee, &args, &ctx);
         }
         Err(JsError::at(
             JsErrorKind::Reference,
@@ -810,28 +764,12 @@ impl Interpreter {
             ));
         }
 
-        let rendered_args = args
-            .iter()
-            .map(Value::render_arg)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let frame = FrameInfo {
-            function: name.to_string(),
-            rendered_args,
-            line,
-        };
-
-        match run.hook.on_enter(&frame) {
-            EnterAction::ShortCircuit(v) => return Ok(v),
-            EnterAction::Continue => {}
-        }
-
         // Parameters fill the first slots; the rest start undefined.
         let base = self.slots.len();
         self.slots.extend(args.into_iter().take(decl.params.len()));
         self.slots.resize(base + decl.frame, Value::Undefined);
         let caller_base = std::mem::replace(&mut self.base, base);
-        self.stack.push(frame);
+        self.stack.push(Rc::clone(&decl));
 
         let result = self.nested(LEVEL_BYTES.call, |this| {
             for stmt in &decl.body {
@@ -842,13 +780,9 @@ impl Interpreter {
             Ok(Value::Undefined)
         });
 
-        let frame = self.stack.pop().expect("frame pushed above");
+        self.stack.pop();
         self.slots.truncate(base);
         self.base = caller_base;
-        match &result {
-            Ok(v) => run.hook.on_exit(&frame, Ok(v)),
-            Err(e) => run.hook.on_exit(&frame, Err(e)),
-        }
         result
     }
 }
@@ -1168,18 +1102,17 @@ fn dict_method(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::debug::{NoopHook, TraceHook};
     use crate::host::NullHost;
     use crate::value::format_number;
 
     fn eval(src: &str) -> Value {
         let mut interp = Interpreter::new();
-        interp.eval(src, &mut NullHost, &mut NoopHook).unwrap()
+        interp.eval(src, &mut NullHost).unwrap()
     }
 
     fn eval_err(src: &str) -> JsError {
         let mut interp = Interpreter::new();
-        interp.eval(src, &mut NullHost, &mut NoopHook).unwrap_err()
+        interp.eval(src, &mut NullHost).unwrap_err()
     }
 
     #[test]
@@ -1189,12 +1122,11 @@ mod tests {
             .load_program(
                 "var n = 0; function bump() { n = n + 1; return n; }",
                 &mut NullHost,
-                &mut NoopHook,
             )
             .unwrap();
         let fire = |interp: &mut Interpreter, src: &str| {
             let before = interp.steps();
-            let result = interp.eval(src, &mut NullHost, &mut NoopHook);
+            let result = interp.eval(src, &mut NullHost);
             (result, interp.steps() - before)
         };
         // Same source, fresh execution each time, same step count.
@@ -1311,7 +1243,7 @@ mod tests {
     fn infinite_loop_burns_fuel() {
         let mut interp = Interpreter::with_fuel(10_000);
         let err = interp
-            .eval("while (true) { var x = 1; }", &mut NullHost, &mut NoopHook)
+            .eval("while (true) { var x = 1; }", &mut NullHost)
             .unwrap_err();
         assert_eq!(err.kind, JsErrorKind::FuelExhausted);
     }
@@ -1327,13 +1259,9 @@ mod tests {
     #[test]
     fn globals_snapshot_restore() {
         let mut interp = Interpreter::new();
-        interp
-            .eval("var page = 1;", &mut NullHost, &mut NoopHook)
-            .unwrap();
+        interp.eval("var page = 1;", &mut NullHost).unwrap();
         let snap = interp.snapshot_globals();
-        interp
-            .eval("page = 99;", &mut NullHost, &mut NoopHook)
-            .unwrap();
+        interp.eval("page = 99;", &mut NullHost).unwrap();
         assert_eq!(interp.global("page"), Some(&Value::Num(99.0)));
         interp.restore_globals(&snap);
         assert_eq!(interp.global("page"), Some(&Value::Num(1.0)));
@@ -1377,44 +1305,6 @@ mod tests {
     }
 
     #[test]
-    fn hook_sees_frames_with_rendered_args() {
-        let mut interp = Interpreter::new();
-        let mut hook = TraceHook::default();
-        interp
-            .eval(
-                "function g(u, f) { return u; } function h(p) { return g('/c?p=' + p, true); } h(2)",
-                &mut NullHost,
-                &mut hook,
-            )
-            .unwrap();
-        assert_eq!(hook.entered[0], ("h".into(), "2".into()));
-        assert_eq!(hook.entered[1], ("g".into(), "\"/c?p=2\", true".into()));
-    }
-
-    #[test]
-    fn hook_short_circuit() {
-        struct SkipG;
-        impl DebugHook for SkipG {
-            fn on_enter(&mut self, frame: &FrameInfo) -> EnterAction {
-                if frame.function == "g" {
-                    EnterAction::ShortCircuit(Value::str("cached"))
-                } else {
-                    EnterAction::Continue
-                }
-            }
-        }
-        let mut interp = Interpreter::new();
-        let result = interp
-            .eval(
-                "function g() { return 'live'; } g()",
-                &mut NullHost,
-                &mut SkipG,
-            )
-            .unwrap();
-        assert_eq!(result, Value::str("cached"));
-    }
-
-    #[test]
     fn postfix_increment_returns_old_value() {
         assert_eq!(eval("var i = 5; var j = i++; j * 10 + i"), Value::Num(56.0));
         assert_eq!(eval("var i = 5; i--; i"), Value::Num(4.0));
@@ -1424,19 +1314,10 @@ mod tests {
     fn call_declared_function_directly() {
         let mut interp = Interpreter::new();
         interp
-            .load_program(
-                "function add(a, b) { return a + b; }",
-                &mut NullHost,
-                &mut NoopHook,
-            )
+            .load_program("function add(a, b) { return a + b; }", &mut NullHost)
             .unwrap();
         let v = interp
-            .call(
-                "add",
-                vec![Value::Num(2.0), Value::Num(3.0)],
-                &mut NullHost,
-                &mut NoopHook,
-            )
+            .call("add", vec![Value::Num(2.0), Value::Num(3.0)], &mut NullHost)
             .unwrap();
         assert_eq!(v, Value::Num(5.0));
     }
@@ -1456,7 +1337,6 @@ mod tests {
             .eval(
                 "var s = 0; for (var i = 0; i < 100; i++) s += i;",
                 &mut NullHost,
-                &mut NoopHook,
             )
             .unwrap();
         assert!(
@@ -1484,17 +1364,16 @@ mod tests {
 #[cfg(test)]
 mod collection_tests {
     use super::*;
-    use crate::debug::NoopHook;
     use crate::host::NullHost;
 
     fn eval(src: &str) -> Value {
         let mut interp = Interpreter::new();
-        interp.eval(src, &mut NullHost, &mut NoopHook).unwrap()
+        interp.eval(src, &mut NullHost).unwrap()
     }
 
     fn eval_err(src: &str) -> JsError {
         let mut interp = Interpreter::new();
-        interp.eval(src, &mut NullHost, &mut NoopHook).unwrap_err()
+        interp.eval(src, &mut NullHost).unwrap_err()
     }
 
     #[test]
@@ -1578,36 +1457,26 @@ mod collection_tests {
     #[test]
     fn snapshot_isolates_collections() {
         let mut interp = Interpreter::new();
-        interp
-            .eval("var log = [1];", &mut NullHost, &mut NoopHook)
-            .unwrap();
+        interp.eval("var log = [1];", &mut NullHost).unwrap();
         let snap = interp.snapshot_globals();
         interp
-            .eval("log.push(2); log.push(3);", &mut NullHost, &mut NoopHook)
+            .eval("log.push(2); log.push(3);", &mut NullHost)
             .unwrap();
         assert_eq!(
-            interp
-                .eval("log.length", &mut NullHost, &mut NoopHook)
-                .unwrap(),
+            interp.eval("log.length", &mut NullHost).unwrap(),
             Value::Num(3.0)
         );
         interp.restore_globals(&snap);
         assert_eq!(
-            interp
-                .eval("log.length", &mut NullHost, &mut NoopHook)
-                .unwrap(),
+            interp.eval("log.length", &mut NullHost).unwrap(),
             Value::Num(1.0),
             "rollback must undo array mutation (crawler correctness)"
         );
         // And restoring twice still works (the snapshot wasn't consumed).
-        interp
-            .eval("log.push(9);", &mut NullHost, &mut NoopHook)
-            .unwrap();
+        interp.eval("log.push(9);", &mut NullHost).unwrap();
         interp.restore_globals(&snap);
         assert_eq!(
-            interp
-                .eval("log.length", &mut NullHost, &mut NoopHook)
-                .unwrap(),
+            interp.eval("log.length", &mut NullHost).unwrap(),
             Value::Num(1.0)
         );
     }

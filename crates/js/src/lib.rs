@@ -10,20 +10,19 @@
 //!   `undefined`,
 //! * `if`/`else`, `while`, `for`, `break`, `continue`, `return`, blocks,
 //! * top-level `function` declarations and calls (recursion allowed),
-//! * host integration: native global functions, `new XMLHttpRequest()`-style
-//!   host objects, method calls and property get/set on host objects
-//!   (`xhr.open(...)`, `xhr.responseText`, `el.innerHTML = ...`).
+//! * host integration: `new XMLHttpRequest()`-style host objects, method
+//!   calls and property get/set on host objects (`xhr.open(...)`,
+//!   `xhr.responseText`, `el.innerHTML = ...`).
 //!
-//! Two capabilities exist specifically because the hot-node mechanism of the
-//! thesis (ch. 4) needs them:
-//!
-//! 1. **Call-stack introspection** — every host call receives a [`HostCtx`]
-//!    exposing the current stack of frames with *rendered actual arguments*
-//!    (the thesis' `StackInfo.getHotNodeInfo()`), so an `XMLHttpRequest`
-//!    host object can key a hot-node cache by `(function, args)`.
-//! 2. **Debugger hooks** — a [`DebugHook`] receives `on_enter`/`on_exit`/
-//!    `on_statement` callbacks (the thesis' `Debugger`/`DebugFrame`
-//!    implementation on Rhino, §4.4.2) and may short-circuit a call.
+//! One capability exists specifically because the hot-node mechanism of the
+//! thesis (ch. 4) needs it: a host method call receives a [`HostCtx`] naming
+//! the innermost executing user function, so an `XMLHttpRequest` host
+//! object knows which function sent a request, the thesis' hot node. The
+//! thesis also reads that frame's actual arguments (`StackInfo`) to key its
+//! cache, and intercepts through Rhino's `Debugger`; the crawler keys its
+//! cache by the request's URL instead (the server is a pure function of the
+//! request), so the interpreter renders no arguments and has no debugger
+//! layer.
 //!
 //! Execution is metered: every statement/expression costs one *step* and a
 //! configurable fuel limit terminates runaway scripts (the thesis' guard
@@ -33,7 +32,6 @@
 mod absdom;
 pub mod ast;
 pub mod callgraph;
-mod debug;
 pub mod effects;
 mod error;
 mod host;
@@ -45,10 +43,9 @@ mod value;
 
 pub use absdom::{AbsLoc, LocSet};
 pub use callgraph::InvocationGraph;
-pub use debug::{DebugHook, EnterAction, NoopHook};
 pub use effects::{EffectAnalysis, EffectSummary};
 pub use error::{JsError, JsErrorKind};
 pub use host::{Host, HostCtx, NullHost, ObjId};
-pub use interp::{FrameInfo, GlobalsSnapshot, Interpreter};
+pub use interp::{GlobalsSnapshot, Interpreter};
 pub use parser::{parse_program, MAX_NESTING};
 pub use value::Value;

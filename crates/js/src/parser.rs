@@ -179,7 +179,6 @@ impl Parser {
                         name,
                         binding: Binding::Global,
                         init,
-                        line,
                     });
                     if !self.eat_punct(Punct::Comma) {
                         break;

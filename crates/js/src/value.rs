@@ -124,17 +124,6 @@ impl Value {
         }
     }
 
-    /// Renders the value as it would appear as a source-level argument:
-    /// strings quoted, everything else as `to_string_value`. Used to build the
-    /// thesis' `StackInfo` hot-node keys, where `f("a", 2)` and `f("a2")` must
-    /// be distinguishable.
-    pub(crate) fn render_arg(&self) -> String {
-        match self {
-            Value::Str(s) => format!("{s:?}"),
-            other => other.to_string_value(),
-        }
-    }
-
     /// The `typeof` operator.
     pub(crate) fn type_of(&self) -> &'static str {
         match self {
@@ -254,13 +243,6 @@ mod tests {
         assert!(Value::Null.loose_eq(&Value::Undefined));
         assert!(!Value::Null.strict_eq(&Value::Undefined));
         assert!(Value::Bool(true).loose_eq(&Value::Num(1.0)));
-    }
-
-    #[test]
-    fn render_arg_quotes_strings() {
-        assert_eq!(Value::str("a b").render_arg(), "\"a b\"");
-        assert_eq!(Value::Num(2.0).render_arg(), "2");
-        assert_eq!(Value::Bool(false).render_arg(), "false");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Property tests for the JS substrate: totality of the pipeline and
 //! semantic invariants checked against a reference evaluator.
 
-use ajax_js::{parse_program, Interpreter, NoopHook, NullHost, Value};
+use ajax_js::{parse_program, Interpreter, NullHost, Value};
 use proptest::prelude::*;
 
 fn eval(src: &str) -> Result<Value, ajax_js::JsError> {
     let mut interp = Interpreter::with_fuel(200_000);
-    interp.eval(src, &mut NullHost, &mut NoopHook)
+    interp.eval(src, &mut NullHost)
 }
 
 /// A tiny generator of arithmetic expressions with a reference evaluation.
@@ -110,15 +110,15 @@ proptest! {
     fn snapshot_restore_roundtrip(values in proptest::collection::vec(-100i32..100, 1..6)) {
         let mut interp = Interpreter::new();
         for (i, v) in values.iter().enumerate() {
-            interp.eval(&format!("var g{i} = {v};"), &mut NullHost, &mut NoopHook).unwrap();
+            interp.eval(&format!("var g{i} = {v};"), &mut NullHost).unwrap();
         }
         let snap = interp.snapshot_globals();
         for i in 0..values.len() {
-            interp.eval(&format!("g{i} = g{i} * 3 + 1;"), &mut NullHost, &mut NoopHook).unwrap();
+            interp.eval(&format!("g{i} = g{i} * 3 + 1;"), &mut NullHost).unwrap();
         }
         interp.restore_globals(&snap);
         for (i, v) in values.iter().enumerate() {
-            let got = interp.eval(&format!("g{i}"), &mut NullHost, &mut NoopHook).unwrap();
+            let got = interp.eval(&format!("g{i}"), &mut NullHost).unwrap();
             prop_assert_eq!(got, Value::Num(f64::from(*v)));
         }
     }
@@ -128,7 +128,7 @@ proptest! {
     fn fuel_terminates(fuel in 100u64..5_000) {
         let mut interp = Interpreter::with_fuel(fuel);
         let err = interp
-            .eval("while (true) { var x = 1; }", &mut NullHost, &mut NoopHook)
+            .eval("while (true) { var x = 1; }", &mut NullHost)
             .unwrap_err();
         prop_assert_eq!(err.kind, ajax_js::JsErrorKind::FuelExhausted);
         prop_assert!(interp.steps() <= fuel + 2);
@@ -157,12 +157,8 @@ fn nested_recursion_is_a_typed_error_not_a_stack_overflow() {
             (0..ajax_js::MAX_NESTING)
                 .map(|k| {
                     let mut interp = Interpreter::new();
-                    interp.load_program(
-                        &recursion_under_parens(k),
-                        &mut NullHost,
-                        &mut NoopHook,
-                    )?;
-                    Ok(interp.eval("f(200)", &mut NullHost, &mut NoopHook).err())
+                    interp.load_program(&recursion_under_parens(k), &mut NullHost)?;
+                    Ok(interp.eval("f(200)", &mut NullHost).err())
                 })
                 .collect::<Vec<Result<_, ajax_js::JsError>>>()
         })

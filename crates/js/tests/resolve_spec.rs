@@ -14,8 +14,7 @@
 
 use ajax_js::ast::{AssignTarget, Binding, Expr, FunctionDecl, Stmt};
 use ajax_js::{
-    parse_program, EffectAnalysis, EffectSummary, Interpreter, InvocationGraph, NoopHook, NullHost,
-    Value,
+    parse_program, EffectAnalysis, EffectSummary, Interpreter, InvocationGraph, NullHost, Value,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -336,11 +335,11 @@ fn run(script: &str, handler: &str) -> (EffectSummary, BTreeSet<String>) {
         .map(|n| format!("var {n} = 'global {n}';"))
         .collect();
     interp
-        .load_program(&setup, &mut NullHost, &mut NoopHook)
+        .load_program(&setup, &mut NullHost)
         .expect("setup runs");
     // A script or handler may fail part-way (an undeclared callee, fuel,
     // call depth); whatever it wrote before that still counts.
-    let _ = interp.load_program(script, &mut NullHost, &mut NoopHook);
+    let _ = interp.load_program(script, &mut NullHost);
     // Compared as debug text: `NaN` is a value like any other here.
     let globals = |interp: &Interpreter| -> Vec<String> {
         NAMES
@@ -349,7 +348,7 @@ fn run(script: &str, handler: &str) -> (EffectSummary, BTreeSet<String>) {
             .collect()
     };
     let before = globals(&interp);
-    let _ = interp.eval(handler, &mut NullHost, &mut NoopHook);
+    let _ = interp.eval(handler, &mut NullHost);
     let written = NAMES
         .iter()
         .zip(before.iter().zip(globals(&interp)))
@@ -439,7 +438,6 @@ fn a_read_before_the_var_is_undefined_not_the_global() {
         .eval(
             "var x = 'global'; function f() { var seen = x; var x = 1; return seen; } f()",
             &mut NullHost,
-            &mut NoopHook,
         )
         .unwrap();
     assert_eq!(v, Value::Undefined);

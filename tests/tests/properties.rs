@@ -8,50 +8,106 @@ use ajax_index::invert::IndexBuilder;
 use ajax_index::query::{search, Query, RankWeights};
 use ajax_index::shard::QueryBroker;
 use ajax_net::{LatencyModel, Server, Url};
-use ajax_webgen::{VidShareServer, VidShareSpec};
+use ajax_webgen::{
+    GalleryServer, GallerySpec, NewsShareServer, NewsSpec, VidShareServer, VidShareSpec,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn crawl_video(seed: u64, video: u32, config: CrawlConfig) -> ajax_crawl::model::AppModel {
-    let spec = VidShareSpec {
-        seed,
-        ..VidShareSpec::small(64)
+/// The three synthetic sites.
+#[derive(Debug, Clone, Copy)]
+enum Site {
+    VidShare,
+    NewsShare,
+    Gallery,
+}
+
+/// Crawls page `page` (of 64) of `site` generated from `seed`.
+fn crawl_page(
+    site: Site,
+    seed: u64,
+    page: u32,
+    config: CrawlConfig,
+) -> ajax_crawl::model::AppModel {
+    let (server, url): (Arc<dyn Server>, String) = match site {
+        Site::VidShare => {
+            let spec = VidShareSpec {
+                seed,
+                ..VidShareSpec::small(64)
+            };
+            (
+                Arc::new(VidShareServer::new(spec.clone())),
+                spec.watch_url(page),
+            )
+        }
+        Site::NewsShare => {
+            let spec = NewsSpec {
+                seed,
+                ..NewsSpec::small(64)
+            };
+            (
+                Arc::new(NewsShareServer::new(spec.clone())),
+                spec.page_url(page),
+            )
+        }
+        Site::Gallery => {
+            let spec = GallerySpec {
+                seed,
+                ..GallerySpec::small(64)
+            };
+            (
+                Arc::new(GalleryServer::new(spec.clone())),
+                spec.page_url(page),
+            )
+        }
     };
-    let server = Arc::new(VidShareServer::new(spec));
-    let mut crawler = Crawler::new(server as Arc<dyn Server>, LatencyModel::Zero, config);
-    crawler
-        .crawl_page(&Url::parse(&format!(
-            "http://vidshare.example/watch?v={video}"
-        )))
-        .expect("crawl")
-        .model
+    let mut crawler = Crawler::new(server, LatencyModel::Zero, config);
+    crawler.crawl_page(&Url::parse(&url)).expect("crawl").model
+}
+
+/// 16 cases in tier-1; `PROPTEST_CASES` raises them in CI.
+fn cache_cases() -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(16);
+    ProptestConfig::with_cases(cases)
+}
+
+proptest! {
+    #![proptest_config(cache_cases())]
+
+    /// The hot-node cache must be *transparent*: same states, same
+    /// transitions, on every site, for any site seed and any page.
+    #[test]
+    fn cache_transparency(
+        site in prop_oneof![Just(Site::VidShare), Just(Site::NewsShare), Just(Site::Gallery)],
+        seed in 0u64..1_000,
+        page in 0u32..64,
+    ) {
+        let cached = crawl_page(site, seed, page, CrawlConfig::ajax());
+        let uncached = crawl_page(site, seed, page, CrawlConfig::ajax_no_cache());
+        prop_assert_eq!(&cached.states, &uncached.states);
+        prop_assert_eq!(&cached.transitions, &uncached.transitions);
+        prop_assert_eq!(cached.graph_signature(), uncached.graph_signature());
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The hot-node cache must be *transparent*: same states, same
-    /// transitions, for any site seed and any video.
-    #[test]
-    fn cache_transparency(seed in 0u64..1_000, video in 0u32..64) {
-        let cached = crawl_video(seed, video, CrawlConfig::ajax());
-        let uncached = crawl_video(seed, video, CrawlConfig::ajax_no_cache());
-        prop_assert_eq!(&cached.states, &uncached.states);
-        prop_assert_eq!(&cached.transitions, &uncached.transitions);
-    }
-
     /// Crawling is deterministic: same inputs, identical model.
     #[test]
     fn crawl_determinism(seed in 0u64..1_000, video in 0u32..64) {
-        let a = crawl_video(seed, video, CrawlConfig::ajax());
-        let b = crawl_video(seed, video, CrawlConfig::ajax());
+        let a = crawl_page(Site::VidShare, seed, video, CrawlConfig::ajax());
+        let b = crawl_page(Site::VidShare, seed, video, CrawlConfig::ajax());
         prop_assert_eq!(a, b);
     }
 
     /// Every crawled state can be reconstructed by event replay, hash-exact.
     #[test]
     fn replay_soundness(seed in 0u64..300, video in 0u32..64) {
-        let model = crawl_video(seed, video, CrawlConfig::ajax().storing_dom());
+        let model = crawl_page(Site::VidShare, seed, video, CrawlConfig::ajax().storing_dom());
         for state in &model.states {
             let doc = reconstruct_state(&model, state.id)
                 .map_err(|e| TestCaseError::fail(format!("state {}: {e}", state.id)))?;
@@ -62,7 +118,7 @@ proptest! {
     /// State-count caps are always respected and state hashes are unique.
     #[test]
     fn state_cap_and_uniqueness(seed in 0u64..1_000, video in 0u32..64, cap in 1usize..12) {
-        let model = crawl_video(seed, video, CrawlConfig::ajax().with_max_states(cap));
+        let model = crawl_page(Site::VidShare, seed, video, CrawlConfig::ajax().with_max_states(cap));
         prop_assert!(model.state_count() <= cap);
         let mut hashes: Vec<u64> = model.states.iter().map(|s| s.hash).collect();
         hashes.sort_unstable();
@@ -197,7 +253,7 @@ proptest! {
     ) {
         use ajax_index::persist::{load_index, save_index, PersistError};
 
-        let model = crawl_video(7, 3, CrawlConfig::ajax());
+        let model = crawl_page(Site::VidShare, 7, 3, CrawlConfig::ajax());
         let mut b = IndexBuilder::new();
         b.add_model(&model, Some(0.5));
         let index = b.build();
