@@ -38,9 +38,9 @@ pub struct ServingData {
     pub shards: u64,
     pub workers: u64,
     pub queries: u64,
-    /// Virtual (simulated) evaluation time of the workload, single worker.
+    /// The measured per-(query, shard) eval times replayed on one worker.
     pub virtual_serial_nanos: u64,
-    /// Virtual makespan with `workers` workers (one per shard).
+    /// The same measured times replayed on `workers` workers (one per shard).
     pub virtual_parallel_nanos: u64,
     /// `virtual_serial / virtual_parallel` — the throughput multiplier.
     pub virtual_speedup: f64,
@@ -230,12 +230,14 @@ impl ServingData {
                 self.queries, self.videos, self.shards
             ),
         ]);
+        // Both are per-(query, shard) wall timings replayed through the
+        // scheduler: measured costs, only their arrangement is simulated.
         table.row(vec![
-            "virtual serial eval".to_string(),
+            "replayed wall: serial eval".to_string(),
             format!("{:.2} ms", self.virtual_serial_nanos as f64 / 1e6),
         ]);
         table.row(vec![
-            format!("virtual makespan ({} workers)", self.workers),
+            format!("replayed wall: {}-worker span", self.workers),
             format!("{:.2} ms", self.virtual_parallel_nanos as f64 / 1e6),
         ]);
         table.row(vec![

@@ -11,7 +11,8 @@
 //!   (`segment::MappedDict`). Lookups binary-search the block heads and scan
 //!   one front-coded block against the mapped bytes; no `Vec<String>` is
 //!   ever materialized. [`TermDict::decode_term`] reconstructs individual
-//!   terms on demand into a caller buffer.
+//!   terms on demand into a caller buffer (an owned dictionary lends its
+//!   string instead).
 //!
 //! Keeping the dictionary sorted makes the whole index layout *canonical*:
 //! two indexes over the same logical content are structurally equal (same
@@ -91,28 +92,11 @@ impl TermDict {
         matches!(self.repr, DictRepr::Mapped(_))
     }
 
-    /// The term with the given id, borrowed — the merge's dictionary join.
-    /// Owned dictionaries only: mapped terms have no resident string to
-    /// borrow; use [`TermDict::decode_term`].
-    pub(crate) fn term(&self, id: TermId) -> &str {
+    /// The term with the given id: an owned dictionary lends its string, a
+    /// mapped one decodes the term into `buf` and lends that.
+    pub fn decode_term<'a>(&'a self, id: TermId, buf: &'a mut Vec<u8>) -> &'a str {
         match &self.repr {
             DictRepr::Owned { terms, .. } => &terms[id as usize],
-            DictRepr::Mapped(_) => {
-                panic!("TermDict::term on a mapped dictionary; use decode_term")
-            }
-        }
-    }
-
-    /// Decodes the term with the given id into `buf` and returns it. Works
-    /// on both representations; the owned path copies so callers can treat
-    /// the buffer uniformly.
-    pub fn decode_term<'b>(&self, id: TermId, buf: &'b mut Vec<u8>) -> &'b str {
-        match &self.repr {
-            DictRepr::Owned { terms, .. } => {
-                buf.clear();
-                buf.extend_from_slice(terms[id as usize].as_bytes());
-                std::str::from_utf8(buf).expect("owned terms are UTF-8")
-            }
             DictRepr::Mapped(m) => m.decode_term(id, buf),
         }
     }
@@ -145,21 +129,6 @@ impl TermDict {
         }
     }
 
-    /// Materializes an owned dictionary (decodes every term if mapped).
-    pub fn into_owned(self) -> TermDict {
-        match self.repr {
-            DictRepr::Owned { .. } => self,
-            DictRepr::Mapped(m) => {
-                let mut terms = Vec::with_capacity(m.len());
-                let mut buf = Vec::new();
-                for id in 0..m.len() as TermId {
-                    terms.push(m.decode_term(id, &mut buf).to_string());
-                }
-                TermDict::from_sorted(terms)
-            }
-        }
-    }
-
     /// Resident heap footprint in bytes, **content-derived**: string headers
     /// + string byte lengths + the bucket table. Capacity padding is
     ///   excluded so structurally equal dictionaries report identical sizes
@@ -189,11 +158,8 @@ impl PartialEq for TermDict {
                 }
                 let mut a = Vec::new();
                 let mut b = Vec::new();
-                (0..self.len() as TermId).all(|id| {
-                    self.decode_term(id, &mut a);
-                    other.decode_term(id, &mut b);
-                    a == b
-                })
+                (0..self.len() as TermId)
+                    .all(|id| self.decode_term(id, &mut a) == other.decode_term(id, &mut b))
             }
         }
     }
@@ -269,7 +235,6 @@ mod tests {
         let mut buf = Vec::new();
         for (id, want) in (0..).zip(["zeal", "zebra", "zero"]) {
             assert_eq!(d.decode_term(id, &mut buf), want);
-            assert_eq!(d.term(id), want);
         }
     }
 

@@ -16,7 +16,7 @@
 //! brute-force scorer in `tests/spec/mod.rs` states those shapes (see
 //! also `docs/index-internals.md`).
 
-use crate::invert::{DocKey, PostingList, TermScratch};
+use crate::invert::{DocKey, PostingList};
 use std::cmp::Ordering;
 
 /// Reusable per-query scratch buffers. One per caller thread; cleared (but
@@ -32,9 +32,6 @@ pub struct ScoreScratch {
     pub(crate) events: Vec<(u32, usize)>,
     /// Per-term occurrence counters for the proximity window scan.
     pub(crate) term_counts: Vec<u32>,
-    /// One decode buffer per query term for mapped (v4) posting runs; owned
-    /// indexes leave them untouched.
-    pub(crate) term_bufs: Vec<TermScratch>,
 }
 
 impl ScoreScratch {
@@ -141,12 +138,12 @@ pub(crate) fn proximity_of_rows(
     if k <= 1 {
         return 1.0;
     }
-    // Gather (position, term_index) pairs, sorted by position. Positions
-    // are decoded here and only here — on a mapped segment this walks the
-    // delta+varint stream of exactly the matched postings.
+    // Gather (position, term_index) pairs, sorted by position. Every list
+    // lends its positions as a slice of an arena, whether the index was
+    // built or loaded (a loaded run was decoded whole on first touch).
     events.clear();
-    for (term_idx, list) in lists.iter().enumerate() {
-        list.for_each_position(rows[term_idx], |pos| events.push((pos, term_idx)));
+    for (term_idx, (list, &row)) in lists.iter().zip(rows).enumerate() {
+        events.extend(list.positions(row).iter().map(|&pos| (pos, term_idx)));
     }
     events.sort_unstable();
 

@@ -19,8 +19,9 @@
 //!   merge on URL, then state — §5.3.2) and the ranking formula 5.3:
 //!   `R = w1·PageRank + w2·AJAXRank + w3·Σ tf·idf + w4·proximity`;
 //! * [`segment`] — the compressed, mmap-able on-disk segment (format v4):
-//!   delta+varint posting runs, front-coded dictionary, lazily-decoded
-//!   position stream, all addressable in place behind the durable frame;
+//!   delta+varint posting runs and position stream, front-coded
+//!   dictionary, all addressable in place behind the durable frame, each
+//!   run decoded once on first touch;
 //! * [`shard`] — query shipping over per-partition indexes with the global
 //!   idf computed at merge time from per-shard `(N, df)` counts (§6.5.2);
 //! * [`persist`] — saving an index as a v4 segment and opening it mapped;
@@ -49,7 +50,7 @@ pub use aggregate::{locate_terms, ElementHit};
 pub use dict::{TermDict, TermId};
 pub use invert::{
     build_index, build_index_parallel, DocKey, IndexBuildError, IndexBuilder, InvertedIndex,
-    PostingList, TermScratch,
+    PostingList,
 };
 pub use kernel::ScoreScratch;
 pub use persist::{

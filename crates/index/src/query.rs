@@ -7,7 +7,7 @@
 //! returned — for [`search_top_k`] that is at most `k` strings however many
 //! candidates matched.
 
-use crate::invert::{DocKey, InvertedIndex, PostingList, TermScratch};
+use crate::invert::{DocKey, InvertedIndex, PostingList};
 use crate::kernel::{self, ScoreScratch, TopK};
 use crate::probe;
 use crate::tokenize::query_terms;
@@ -174,18 +174,8 @@ fn score_matches(
         idf,
         events,
         term_counts,
-        term_bufs,
-        ..
     } = scratch;
-    if term_bufs.len() < query.terms.len() {
-        term_bufs.resize_with(query.terms.len(), TermScratch::default);
-    }
-    let lists: Vec<PostingList<'_>> = query
-        .terms
-        .iter()
-        .zip(term_bufs.iter_mut())
-        .map(|(t, buf)| index.postings_in(t, buf))
-        .collect();
+    let lists: Vec<PostingList<'_>> = query.terms.iter().map(|t| index.postings(t)).collect();
     idf.clear();
     idf.extend(lists.iter().map(|l| index.idf_from_df(l.len() as u64)));
     kernel::for_each_match(&lists, cursors, |doc, rows| {
@@ -207,13 +197,7 @@ fn score_matches(
 /// ascending order — the posting-list merge of §5.3.2 without scoring
 /// (diagnostics and tests).
 pub fn conjunction_docs(index: &InvertedIndex, terms: &[String]) -> Vec<DocKey> {
-    let mut bufs: Vec<TermScratch> = Vec::new();
-    bufs.resize_with(terms.len(), TermScratch::default);
-    let lists: Vec<PostingList<'_>> = terms
-        .iter()
-        .zip(bufs.iter_mut())
-        .map(|(t, buf)| index.postings_in(t, buf))
-        .collect();
+    let lists: Vec<PostingList<'_>> = terms.iter().map(|t| index.postings(t)).collect();
     let mut cursors = Vec::new();
     let mut out = Vec::new();
     kernel::for_each_match(&lists, &mut cursors, |doc, _| out.push(doc));
@@ -306,19 +290,10 @@ mod tests {
         let idx = index_of(&[("u1", &["a b c", "a c", "b c"]), ("u2", &["c a b a", "b"])]);
         let merged_docs = conjunction_docs(&idx, &["a".into(), "b".into()]);
         // Naive: docs containing a ∩ docs containing b.
-        let mut buf = TermScratch::new();
-        let a_docs: std::collections::BTreeSet<DocKey> = idx
-            .postings_in("a", &mut buf)
-            .docs()
-            .iter()
-            .copied()
-            .collect();
-        let b_docs: std::collections::BTreeSet<DocKey> = idx
-            .postings_in("b", &mut buf)
-            .docs()
-            .iter()
-            .copied()
-            .collect();
+        let a_docs: std::collections::BTreeSet<DocKey> =
+            idx.postings("a").docs().iter().copied().collect();
+        let b_docs: std::collections::BTreeSet<DocKey> =
+            idx.postings("b").docs().iter().copied().collect();
         let naive: Vec<DocKey> = a_docs.intersection(&b_docs).copied().collect();
         assert_eq!(merged_docs, naive);
     }

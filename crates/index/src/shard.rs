@@ -19,7 +19,7 @@
 //! instead of copying it. [`eval_shard`] and [`merge_shard_outputs`] are the
 //! same two steps with one owned [`ShardResult`] per hit.
 
-use crate::invert::{DocKey, InvertedIndex, PostingList, TermScratch};
+use crate::invert::{DocKey, InvertedIndex, PostingList};
 use crate::kernel::{self, ScoreScratch};
 use crate::query::{Query, RankWeights};
 use serde::{Deserialize, Serialize};
@@ -228,18 +228,9 @@ pub fn eval_shard_into(
         cursors,
         events,
         term_counts,
-        term_bufs,
         ..
     } = scratch;
-    if term_bufs.len() < query.terms.len() {
-        term_bufs.resize_with(query.terms.len(), TermScratch::default);
-    }
-    let lists: Vec<PostingList<'_>> = query
-        .terms
-        .iter()
-        .zip(term_bufs.iter_mut())
-        .map(|(t, buf)| shard.postings_in(t, buf))
-        .collect();
+    let lists: Vec<PostingList<'_>> = query.terms.iter().map(|t| shard.postings(t)).collect();
     let ShardHits { hits, tfs, stats } = out;
     hits.clear();
     tfs.clear();

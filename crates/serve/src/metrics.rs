@@ -34,7 +34,9 @@ pub struct Metrics {
     /// mismatch) — the server kept serving the previous generation.
     pub reloads_rejected: AtomicU64,
     /// Resident size of the served index in bytes (gauge; set at startup
-    /// and on every reload from the shards' honest `approx_bytes`).
+    /// and on every reload from the shards' honest `approx_bytes`). A
+    /// loaded shard's runs move to the heap as queries first touch them,
+    /// so the gauge counts those decoded by the time it was set.
     pub index_bytes: AtomicU64,
     /// Bytes served from mmap-ed v4 segments (gauge, same lifecycle as
     /// `index_bytes`). Mapped bytes live in the page cache, not the heap —
